@@ -10,9 +10,11 @@
 //! uses — retransmission driven by wall-clock ticks instead of virtual
 //! timers.
 //! **The protocol state machines are the exact same types** —
-//! [`mc_proto::Replica`] and [`mc_proto::Manager`] — so a green run here
+//! [`mc_proto::ProcNode`] and [`mc_proto::Manager`], the code the
+//! simulator and its model checker run — so a green run here
 //! demonstrates the protocols survive genuine concurrency, not just
-//! simulated interleavings.
+//! simulated interleavings. This crate only drives them: inboxes,
+//! transports, wall-clock ticks, files and the history recorder.
 //!
 //! Executions still record checkable histories: the recorder's mutex
 //! order is consistent with the message causality (a lock is recorded

@@ -1,9 +1,8 @@
 //! The live executor: processes as threads, links as channels, the
 //! `mc-proto` state machines unchanged.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -15,11 +14,11 @@ use mc_model::{
     OpKind, ProcId, ReadLabel, VClock, Value, WriteId,
 };
 use mc_proto::{
-    decode_wal, BatchEntry, BatchPolicy, DsmConfig, DurabilityPolicy, FileDisk, GrantInfo,
-    LockPropagation, Manager, Mode, Msg, Replica, Session, SessionConfig, ShardConfig, Snapshot,
-    UpdatePayload, WalRecord, WalTail,
+    decode_wal, BatchPolicy, DsmConfig, DurabilityPolicy, FileDisk, LockPropagation, Manager, Mode,
+    Msg, NodeIo, ProcNode, Replica, Req, Resp, Session, SessionConfig, ShardConfig, Snapshot,
+    WalRecord, WalTail,
 };
-use mc_sim::{DurabilityStats, SimTime, TraceEvent, Tracer};
+use mc_sim::{DurabilityStats, Poll, SimTime, TraceEvent, Tracer};
 
 /// What travels on a node's inbox: a protocol message (tagged with the
 /// sending node, which the session layer needs to identify the link) or
@@ -84,37 +83,6 @@ impl Transport for ChannelTransport {
 /// Wall-clock ticks stand in for the simulator's per-link timers; the
 /// period is coarse enough that a healthy ack always wins the race.
 const RETX_TICK: Duration = Duration::from_millis(1);
-
-/// One process's outgoing update buffer (batching enabled only) — the
-/// live twin of the simulator protocol's batch state, flushed on sync
-/// operations, at the size limit, and on wall-clock age checks.
-#[derive(Default)]
-struct LiveBatch {
-    first_seq: u32,
-    upto: u32,
-    entries: Vec<BatchEntry>,
-    /// Latest entry index per location (coalescing target).
-    last_idx: HashMap<Loc, usize>,
-    /// Dependency vector of the last buffered write (vector modes).
-    deps: Option<VClock>,
-    /// When the buffer last became non-empty (the wall-clock flush
-    /// window starts here).
-    since: Option<Instant>,
-}
-
-/// One process's outgoing buffer for a single shard (sharding with
-/// batching) — the live twin of the simulator's per-shard batch state,
-/// sharing one wall-clock flush window across all shards.
-#[derive(Default)]
-struct LiveShardBatch {
-    prev: u32,
-    upto: u32,
-    entries: Vec<BatchEntry>,
-    /// Latest entry index per location (coalescing target).
-    last_idx: HashMap<Loc, usize>,
-    /// Sparse dependency triples of the last buffered write.
-    deps: Vec<(u32, ProcId, u32)>,
-}
 
 /// Shared durability counters, aggregated into [`LiveOutcome::wal`] at
 /// teardown (the live twin of the simulator's `Metrics::wal`).
@@ -779,52 +747,22 @@ impl LiveSystem {
     }
 }
 
-/// Opens (and, when prior state exists, recovers) process `proc`'s
-/// replica. Returns the replica, the opened disk (durability on only),
-/// and whether a recovery happened.
-///
-/// Recovery order: decode the snapshot, replay the WAL's valid prefix
-/// through the normal ingest machinery, truncate a torn tail (the
-/// expected `kill -9` residue), bump and persist the incarnation. A
-/// corrupt frame *before* the tail is a real integrity failure and
-/// panics with a diagnostic rather than silently dropping durable state.
-fn open_replica(
-    proc: ProcId,
-    cfg: &DsmConfig,
-    dir: Option<&std::path::Path>,
-    walc: &WalCounters,
-) -> (Replica, Option<FileDisk>, bool) {
-    // Sharded replicas rebuild with the static interest set; WAL replay
-    // re-mints own chains and restores dynamic subscriptions.
-    let sharded = cfg.sharding.as_ref().filter(|_| cfg.mode.is_replicated());
-    let fresh = || {
-        let r = Replica::new(proc, cfg.nprocs).with_store_capacity(cfg.locations);
-        match sharded {
-            Some(sc) => r.with_sharding(sc.nshards, sc.interest[proc.index()].clone()),
-            None => r,
-        }
-    };
-    let (Some(_), Some(dir)) = (cfg.durability, dir) else { return (fresh(), None, false) };
+/// Opens process `proc`'s write-ahead log under `dir/replica-{i}`.
+/// Returns the disk and, when prior state exists, the snapshot and the
+/// valid log records to rebuild from. A torn tail (the expected
+/// `kill -9` residue) is truncated; a corrupt frame *before* the tail is
+/// a real integrity failure and panics with a diagnostic rather than
+/// silently dropping durable state.
+#[allow(clippy::type_complexity)]
+fn open_disk(proc: ProcId, dir: &Path) -> (FileDisk, Option<(Option<Snapshot>, Vec<WalRecord>)>) {
     let rdir = dir.join(format!("replica-{}", proc.index()));
     let (snap_bytes, log_bytes) =
         FileDisk::load(&rdir).unwrap_or_else(|e| panic!("{proc}: cannot load {rdir:?}: {e}"));
     let had_state = snap_bytes.is_some() || !log_bytes.is_empty();
-    let mut replica = match &snap_bytes {
-        Some(b) => match Snapshot::decode(b) {
-            Ok(snap) => {
-                let r = Replica::from_snapshot(proc, cfg.nprocs, &snap)
-                    .with_store_capacity(cfg.locations);
-                // Unreachable for sharded runs today (sharded replicas
-                // are log-only), kept in lock-step with the simulator.
-                match sharded {
-                    Some(sc) => r.with_sharding(sc.nshards, sc.interest[proc.index()].clone()),
-                    None => r,
-                }
-            }
-            Err(e) => panic!("{proc}: snapshot in {rdir:?} is corrupt: {e}"),
-        },
-        None => fresh(),
-    };
+    let snap = snap_bytes.map(|b| {
+        Snapshot::decode(&b)
+            .unwrap_or_else(|e| panic!("{proc}: snapshot in {rdir:?} is corrupt: {e}"))
+    });
     let (records, tail) = decode_wal(&log_bytes);
     let valid_len = match tail {
         WalTail::Clean => log_bytes.len(),
@@ -844,23 +782,8 @@ fn open_replica(
         f.set_len(valid_len as u64).unwrap_or_else(|e| panic!("{proc}: cannot truncate wal: {e}"));
         f.sync_all().unwrap_or_else(|e| panic!("{proc}: cannot sync truncated wal: {e}"));
     }
-    walc.replayed.fetch_add(records.len() as u64, Ordering::Relaxed);
-    for rec in records {
-        replica.replay_record(rec, cfg.mode);
-    }
-    let mut disk = FileDisk::open(&rdir).unwrap_or_else(|e| panic!("{proc}: cannot open wal: {e}"));
-    if had_state {
-        replica.incarnation += 1;
-        let frame = WalRecord::Incarnation { incarnation: replica.incarnation }.encode();
-        disk.append(&frame).and_then(|()| disk.sync()).unwrap_or_else(|e| {
-            panic!("{proc}: cannot persist incarnation: {e}");
-        });
-        walc.appends.fetch_add(1, Ordering::Relaxed);
-        walc.synced.fetch_add(1, Ordering::Relaxed);
-        walc.fsyncs.fetch_add(1, Ordering::Relaxed);
-        walc.recoveries.fetch_add(1, Ordering::Relaxed);
-    }
-    (replica, Some(disk), had_state)
+    let disk = FileDisk::open(&rdir).unwrap_or_else(|e| panic!("{proc}: cannot open wal: {e}"));
+    (disk, had_state.then_some((snap, records)))
 }
 
 /// Per-node options for [`run_proc_node`] — everything a process node
@@ -877,12 +800,12 @@ pub struct NodeConfig {
     pub durability_dir: Option<PathBuf>,
 }
 
-/// One process node's whole life, transport-agnostic: open (and maybe
-/// recover) the replica, run the program body, flush, signal `done`,
-/// then keep ingesting — retransmitting on session ticks — until the
-/// shutdown signal, and fsync on the way out. Both the in-process
-/// executor and the TCP runtime (`mc-net`) call this; only the
-/// [`Transport`] behind `net` and the inbox feeding `rx` differ.
+/// One process node's whole life, transport-agnostic: open (and, when
+/// prior state exists, rebuild) the node, run the program body, flush,
+/// signal `done`, then keep ingesting — retransmitting on session ticks
+/// — until the shutdown signal, and fsync on the way out. Both the
+/// in-process executor and the TCP runtime (`mc-net`) call this; only
+/// the [`Transport`] behind `net` and the inbox feeding `rx` differ.
 pub fn run_proc_node(
     opts: NodeConfig,
     rx: Receiver<Wire>,
@@ -893,86 +816,34 @@ pub fn run_proc_node(
     done: impl FnOnce(),
 ) -> Replica {
     let NodeConfig { proc, cfg, timeout, durability_dir } = opts;
-    let i = proc.index();
-    let (replica, disk, recovered) = open_replica(proc, &cfg, durability_dir.as_deref(), &walc);
-    // Seed multicast routes from the static interest sets; dynamic
-    // joiners merge in from SubAck/SubNotify and recovery answers,
-    // exactly as in the simulator.
-    let shard_routes: Vec<Vec<ProcId>> =
-        match cfg.sharding.as_ref().filter(|_| cfg.mode.is_replicated()) {
-            None => Vec::new(),
-            Some(sc) => (0..sc.nshards)
-                .map(|s| {
-                    (0..cfg.nprocs as u32)
-                        .map(ProcId)
-                        .filter(|&q| q.index() != i && sc.subscribed(q, s))
-                        .collect()
-                })
-                .collect(),
-        };
-    let mut session = cfg.reliable.then(|| Session::new(SessionConfig::default()));
-    if let Some(s) = &mut session {
-        // The reborn incarnation fences this node's session epochs above
-        // anything a previous life could have acked (matters once
-        // transports outlive processes).
-        s.set_base_epoch(nid(i), replica.incarnation);
-    }
-    let mut ctx = LiveCtx {
+    let mut io = LiveIo {
         proc,
-        replica,
-        session,
-        cfg,
-        inbox: rx,
+        session: cfg.reliable.then(|| Session::new(SessionConfig::default())),
         net,
-        held: HashMap::new(),
-        granted: HashMap::new(),
-        flush_acks: 0,
-        flush_waiters: Vec::new(),
-        barrier_next: HashMap::new(),
-        barrier_released: HashMap::new(),
-        sc_resp: None,
-        batch: LiveBatch::default(),
-        link_clock_out: HashMap::new(),
-        link_clock_in: HashMap::new(),
-        recorder,
-        timeout,
-        disk,
-        records_since_snap: 0,
-        last_snap: Instant::now(),
-        recover_seen: HashMap::new(),
-        recover_pushed: HashMap::new(),
-        shard_routes,
-        shard_out: HashMap::new(),
-        shard_since: None,
+        disk: None,
         walc,
+        recorder,
+        flush_at: None,
+        last_snap: Instant::now(),
     };
-    if recovered {
-        // Ask every peer for the updates this node's disk never made
-        // durable; responses arrive during (or after) the program and
-        // unblock its read gates. Sharded recovery ships the per-shard
-        // applied summary instead of the global vector — peers answer
-        // only for the shards they share.
-        let req = if ctx.sharded() {
-            Msg::ShardRecoverReq {
-                proc: ctx.proc,
-                incarnation: ctx.replica.incarnation,
-                applied: ctx.replica.shards().expect("sharded").applied_summary(),
-            }
-        } else {
-            Msg::RecoverReq {
-                proc: ctx.proc,
-                incarnation: ctx.replica.incarnation,
-                applied: ctx.replica.applied.clone(),
-            }
-        };
-        for peer in 0..ctx.cfg.nprocs {
-            if peer != i {
-                // Raw: recovery must not ride the sessions it is in the
-                // middle of re-fencing.
-                ctx.net.send(i, peer, req.clone());
-            }
+    let durable = cfg.durability.is_some();
+    let mut node = ProcNode::new(proc, Arc::new(cfg));
+    if let (true, Some(dir)) = (durable, durability_dir) {
+        let (disk, state) = open_disk(proc, &dir);
+        io.disk = Some(disk);
+        if let Some((snap, records)) = state {
+            // Replays the log, persists the bumped incarnation (which
+            // fences this node's session epochs above anything a
+            // previous life could have acked), and asks every peer for
+            // the updates this disk never made durable; the answers
+            // arrive during (or after) the program and unblock its read
+            // gates.
+            io.walc.replayed.fetch_add(records.len() as u64, Ordering::Relaxed);
+            io.walc.recoveries.fetch_add(1, Ordering::Relaxed);
+            node.rebuild(&mut io, snap.as_ref(), records);
         }
     }
+    let mut ctx = LiveCtx { node, io, inbox: rx, timeout };
     // The done signal must fire even on panic (op timeouts panic by
     // design): the coordinator waits for exactly one signal per process,
     // with no wall-clock limit of its own — long-running programs are
@@ -982,7 +853,7 @@ pub fn run_proc_node(
     // coordinator broadcasts shutdown once every done signal is in, and
     // sends racing that broadcast may land after a peer's ingest loop
     // has exited.
-    ctx.flush_updates();
+    ctx.flush();
     done();
     if let Err(payload) = result {
         std::panic::resume_unwind(payload);
@@ -992,7 +863,7 @@ pub fn run_proc_node(
     // on, keep retransmitting too: a peer may still be blocked on a
     // payload the network ate.
     loop {
-        let wire = if ctx.session.is_some() {
+        let wire = if ctx.io.session.is_some() {
             match ctx.inbox.recv_timeout(RETX_TICK) {
                 Ok(w) => Some(w),
                 Err(RecvTimeoutError::Timeout) => {
@@ -1011,8 +882,8 @@ pub fn run_proc_node(
     }
     // Final fsync: a clean shutdown leaves no staged records behind
     // (only a kill can lose appended work).
-    ctx.wal_sync();
-    ctx.replica
+    ctx.io.wal_sync();
+    ctx.node.into_replica()
 }
 
 /// One manager shard: receive (through the session filter), dispatch to
@@ -1039,25 +910,7 @@ pub fn run_manager_node(rx: Receiver<Wire>, net: Net, cfg: DsmConfig, node: Node
         match wire {
             Some(Wire::Proto { from, msg }) => {
                 for msg in sess_receive(&net, &mut session, node, from, msg) {
-                    let out = match msg {
-                        Msg::LockReq { proc, lock, mode } => {
-                            manager.lock_request(proc, lock, mode, &cfg)
-                        }
-                        Msg::LockRel { proc, lock, knowledge, own_count, dirty, .. } => {
-                            manager.lock_release(proc, lock, knowledge, own_count, dirty, &cfg)
-                        }
-                        Msg::BarrierArrive { proc, barrier, round, knowledge } => {
-                            manager.barrier_arrive(proc, barrier, round, knowledge, &cfg)
-                        }
-                        Msg::ScRead { proc, loc } => manager.sc_read(proc, loc),
-                        Msg::ScWrite { writer, loc, payload } => {
-                            manager.sc_write(writer, loc, payload)
-                        }
-                        Msg::ScAwait { proc, loc, value } => manager.sc_await(proc, loc, value),
-                        Msg::SubReq { proc, shard } => manager.sub_req(proc, shard, &cfg),
-                        other => unreachable!("manager received {other:?}"),
-                    };
-                    for (proc, msg) in out {
+                    for (proc, msg) in manager.handle(msg, &cfg) {
                         sess_send(&net, &mut session, node, proc.index(), msg);
                     }
                 }
@@ -1067,84 +920,62 @@ pub fn run_manager_node(rx: Receiver<Wire>, net: Net, cfg: DsmConfig, node: Node
     }
 }
 
-/// The per-process handle of the live executor: the same operation
-/// vocabulary as the simulator-backed `Ctx`.
-pub struct LiveCtx {
+/// A process node's view of the live executor: the shared net, the
+/// node's session state machines, its write-ahead log, the history
+/// recorder, and wall-clock stand-ins for the simulator's timers.
+struct LiveIo {
     proc: ProcId,
-    cfg: DsmConfig,
-    replica: Replica,
-    session: Option<Session>,
-    inbox: Receiver<Wire>,
     net: Net,
-    held: HashMap<LockId, LockMode>,
-    granted: HashMap<LockId, GrantInfo>,
-    flush_acks: usize,
-    flush_waiters: Vec<(ProcId, u32)>,
-    barrier_next: HashMap<BarrierId, u32>,
-    barrier_released: HashMap<(BarrierId, u32), VClock>,
-    sc_resp: Option<Msg>,
-    batch: LiveBatch,
-    /// Per destination process: the dependency clock as last sent on that
-    /// link (delta-compression shadow copy, sender side).
-    link_clock_out: HashMap<NodeId, VClock>,
-    /// Per source process: the dependency clock as last received on that
-    /// link (delta-compression shadow copy, receiver side).
-    link_clock_in: HashMap<NodeId, VClock>,
-    recorder: Option<Arc<Mutex<HistoryBuilder>>>,
-    timeout: Duration,
+    session: Option<Session>,
     /// The write-ahead log (durability on only).
     disk: Option<FileDisk>,
-    /// WAL records since the last snapshot (count-based cadence).
-    records_since_snap: u32,
+    walc: Arc<WalCounters>,
+    recorder: Option<Arc<Mutex<HistoryBuilder>>>,
+    /// When the armed flush timer expires. There is no background timer
+    /// thread: the deadline is checked on every operation entry, and
+    /// parking flushes at least as eagerly.
+    flush_at: Option<Instant>,
     /// When the last snapshot was installed (wall-clock cadence).
     last_snap: Instant,
-    /// Highest reborn incarnation already answered, per peer — dedups
-    /// recovery requests.
-    recover_seen: HashMap<ProcId, u32>,
-    /// High-water of own-write sequences already pushed back to each
-    /// reborn peer (chunked recovery responses repeat `seen`; the
-    /// push-back must not repeat with them).
-    recover_pushed: HashMap<ProcId, u32>,
-    /// Multicast routes (sharding only): `shard_routes[s]` lists the
-    /// peers this node knows to subscribe to shard `s` (self excluded,
-    /// kept sorted for deterministic multicast order).
-    shard_routes: Vec<Vec<ProcId>>,
-    /// Per-shard outgoing buffers (sharding with batching).
-    shard_out: HashMap<u32, LiveShardBatch>,
-    /// When a shard buffer last became non-empty (one wall-clock flush
-    /// window shared across shards, like the simulator's one timer).
-    shard_since: Option<Instant>,
-    walc: Arc<WalCounters>,
 }
 
-impl fmt::Debug for LiveCtx {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LiveCtx").field("proc", &self.proc).finish()
-    }
-}
-
-impl LiveCtx {
-    /// This process's id.
-    pub fn proc(&self) -> ProcId {
-        self.proc
-    }
-
-    fn push(&mut self, kind: OpKind) {
+impl LiveIo {
+    fn record(&self, kind: OpKind) {
         if let Some(rec) = &self.recorder {
             rec.lock().expect("recorder healthy").push(self.proc, kind);
         }
     }
+}
 
-    /// Appends one WAL record (staged until the next fsync).
-    fn wal_append(&mut self, rec: &WalRecord) {
-        let Some(disk) = &mut self.disk else { return };
-        disk.append(&rec.encode())
-            .unwrap_or_else(|e| panic!("{}: wal append failed: {e}", self.proc));
-        self.walc.appends.fetch_add(1, Ordering::Relaxed);
-        self.records_since_snap += 1;
+impl NodeIo for LiveIo {
+    fn send(&mut self, to: mc_sim::NodeId, msg: Msg) {
+        sess_send(&self.net, &mut self.session, self.proc.index(), to.index(), msg);
     }
 
-    /// fsyncs the WAL (no-op when durability is off or nothing staged).
+    fn send_raw(&mut self, to: mc_sim::NodeId, msg: Msg) {
+        self.net.send(self.proc.index(), to.index(), msg);
+    }
+
+    fn resend(&mut self, to: mc_sim::NodeId, wire: Vec<Msg>) {
+        for m in wire {
+            self.net.send(self.proc.index(), to.index(), m);
+        }
+    }
+
+    fn session(&mut self) -> Option<&mut Session> {
+        self.session.as_mut()
+    }
+
+    fn arm_flush_timer(&mut self, delay_micros: u64) {
+        self.flush_at = Some(Instant::now() + Duration::from_micros(delay_micros));
+    }
+
+    fn wal_append(&mut self, frame: &[u8]) {
+        let Some(disk) = &mut self.disk else { return };
+        disk.append(frame).unwrap_or_else(|e| panic!("{}: wal append failed: {e}", self.proc));
+        self.walc.appends.fetch_add(1, Ordering::Relaxed);
+    }
+
     fn wal_sync(&mut self) {
         let Some(disk) = &mut self.disk else { return };
         if disk.staged_records() == 0 {
@@ -1157,553 +988,70 @@ impl LiveCtx {
         }
     }
 
-    /// Installs a compacted snapshot once either cadence (record count or
-    /// wall-clock interval) is due. fsyncs first: compaction must never
-    /// discard staged records.
-    fn maybe_snapshot(&mut self) {
-        let Some(policy) = self.cfg.durability else { return };
-        // Snapshots do not capture per-shard clocks, own chains, or
-        // subscriptions: sharded replicas stay log-only, and recovery
-        // replays the full WAL.
-        if self.sharded() {
-            return;
-        }
-        if self.disk.is_none() || self.records_since_snap == 0 {
-            return;
-        }
-        let due = self.records_since_snap >= policy.snapshot_every
-            || self.last_snap.elapsed() >= Duration::from_micros(policy.snapshot_interval_micros);
-        if !due {
-            return;
-        }
-        self.wal_sync();
-        let me = self.proc.index();
-        let watermarks = match &mut self.session {
-            None => Vec::new(),
-            Some(s) => (0..self.cfg.nprocs)
-                .filter(|&j| j != me)
-                .map(|j| (ProcId(j as u32), s.receiver(nid(j), nid(me)).delivered()))
-                .collect(),
-        };
-        let snap = self.replica.to_snapshot(watermarks);
-        self.disk
-            .as_mut()
-            .expect("checked above")
-            .install_snapshot(&snap.encode())
+    fn install_snapshot(&mut self, bytes: Vec<u8>) {
+        let Some(disk) = &mut self.disk else { return };
+        disk.install_snapshot(&bytes)
             .unwrap_or_else(|e| panic!("{}: snapshot install failed: {e}", self.proc));
-        self.records_since_snap = 0;
         self.last_snap = Instant::now();
         self.walc.snapshots.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Sends a protocol message, through the session layer when it is on.
-    fn send(&mut self, to: NodeId, msg: Msg) {
-        // Group commit: staged own-write records must hit disk before any
-        // message that could let a peer observe (and act on) them leaves
-        // this node. `wal_sync` no-ops when nothing is staged.
-        if self.cfg.durability.is_some_and(|p| p.group_commit) {
-            self.wal_sync();
-        }
-        sess_send(&self.net, &mut self.session, self.proc.index(), to, msg);
+    fn snapshot_interval_elapsed(&self, interval_micros: u64) -> bool {
+        self.last_snap.elapsed() >= Duration::from_micros(interval_micros)
+    }
+
+    fn releasing(&mut self, lock: LockId, mode: LockMode) {
+        // Record before the release message leaves: the next holder's
+        // grant (and its own record) is causally after this push,
+        // keeping the recorder's epoch order valid.
+        self.record(OpKind::Unlock { lock, mode });
+    }
+}
+
+/// The per-process handle of the live executor: the same operation
+/// vocabulary as the simulator-backed `Ctx`, each operation a blocking
+/// loop around the shared [`ProcNode`].
+pub struct LiveCtx {
+    node: ProcNode,
+    io: LiveIo,
+    inbox: Receiver<Wire>,
+    timeout: Duration,
+}
+
+impl fmt::Debug for LiveCtx {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("LiveCtx").field("proc", &self.io.proc).finish()
+    }
+}
+
+impl LiveCtx {
+    /// This process's id.
+    pub fn proc(&self) -> ProcId {
+        self.io.proc
     }
 
     /// Filters one arriving wire message through the session layer and
-    /// applies whatever is deliverable.
+    /// hands whatever is deliverable to the node.
     fn receive(&mut self, from: NodeId, msg: Msg) {
-        let me = self.proc.index();
-        for inner in sess_receive(&self.net, &mut self.session, me, from, msg) {
-            self.process(inner);
+        let me = self.io.proc.index();
+        for inner in sess_receive(&self.io.net, &mut self.io.session, me, from, msg) {
+            self.node.on_msg(&mut self.io, nid(from), inner);
         }
     }
 
     /// Retransmits every unacknowledged session payload.
     fn retransmit(&mut self) {
-        sess_retransmit(&self.net, &mut self.session, self.proc.index());
+        sess_retransmit(&self.io.net, &mut self.io.session, self.io.proc.index());
     }
 
-    /// Survivor-side session glue for a reborn peer (the live twin of
-    /// the simulator's recovery reset, `dsm.rs`): the link toward the
-    /// reborn node is reset into a fresh, higher epoch — its newborn
-    /// receiver would otherwise buffer forever behind sequence numbers
-    /// that died with the old incarnation. Non-update payloads are
-    /// re-wrapped and resent; update-class payloads are dropped (their
-    /// content travels in the recovery answer, with full dependency
-    /// vectors). The delta-compression shadow clocks for the link are
-    /// cleared on this side to match the reborn node's empty ones.
-    fn reset_reborn_link(&mut self, reborn: ProcId) {
-        let me = self.proc.index();
-        if let Some(s) = &mut self.session {
-            let wire = s.reset_sender_with(nid(me), nid(reborn.index()), |m| {
-                !matches!(
-                    m,
-                    Msg::Update { .. }
-                        | Msg::UpdateBatch { .. }
-                        | Msg::RecoverResp { .. }
-                        | Msg::ShardUpdate { .. }
-                        | Msg::ShardUpdateBatch { .. }
-                        | Msg::ShardRecoverResp { .. }
-                )
-            });
-            for m in wire {
-                self.net.send(me, reborn.index(), m);
-            }
-        }
-        self.link_clock_out.remove(&reborn.index());
-        self.link_clock_in.remove(&reborn.index());
-    }
-
-    /// Whether sharded interest-based replication is active (a shard
-    /// map on a replicated mode).
-    fn sharded(&self) -> bool {
-        self.cfg.sharding.is_some() && self.cfg.mode.is_replicated()
-    }
-
-    /// Fsync before an observation returns. Remote ingests are staged
-    /// (appended, unsynced) until some local read or await could expose
-    /// them to the program; past that point a crash must not un-happen
-    /// them, or a surviving reader would watch its own history regress.
-    fn observe_sync(&mut self) {
-        if self.cfg.durability.is_some() {
-            self.wal_sync();
-        }
-    }
-
-    /// Sends `msg` to every peer this node knows to subscribe to
-    /// `shard` (subscriber-only routing — the point of sharding).
-    fn multicast_shard(&mut self, shard: u32, msg: Msg) {
-        let peers = self.shard_routes[shard as usize].clone();
-        for q in peers {
-            self.send(q.index(), msg.clone());
-        }
-    }
-
-    /// Records that `q` subscribes to `shard` (routes never list this
-    /// node's own process; insertion keeps them sorted).
-    fn add_shard_route(&mut self, shard: u32, q: ProcId) {
-        if q == self.proc {
-            return;
-        }
-        let routes = &mut self.shard_routes[shard as usize];
-        if let Err(i) = routes.binary_search(&q) {
-            routes.insert(i, q);
-        }
-    }
-
-    /// Gates a sharded access to `loc` on a subscription to its shard.
-    /// A first touch outside the interest set blocks on a directory
-    /// round-trip when the dynamic fallback is enabled, and is a
-    /// program error otherwise.
-    fn shard_gate(&mut self, loc: Loc) {
-        if !self.sharded() {
-            return;
-        }
-        let (shard, dynamic) = {
-            let sc = self.cfg.sharding.as_ref().expect("sharded");
-            (sc.shard_of(loc), sc.dynamic)
-        };
-        if self.replica.shards().expect("sharded").subscribed(shard) {
-            return;
-        }
-        assert!(
-            dynamic,
-            "{} touches {loc} (shard {shard}) outside its interest set \
-             and the dynamic subscribe-on-first-touch fallback is off",
-            self.proc
-        );
-        self.send(
-            self.cfg.manager_node().index(),
-            Msg::SubReq { proc: self.proc, shard: shard as u32 },
-        );
-        while !self.replica.shards().expect("sharded").subscribed(shard) {
-            self.step("shard subscription");
-        }
-    }
-
-    /// Applies one incoming protocol message to local state.
-    fn process(&mut self, msg: Msg) {
-        match msg {
-            Msg::Update { writer, loc, payload, deps } => {
-                // Recovery can re-deliver updates the durable log already
-                // holds (a RecoverResp overlapping an in-flight Update);
-                // an already-applied sequence is a ghost, not new work.
-                if self.cfg.durability.is_some() && writer.seq <= self.replica.applied[writer.proc]
-                {
-                    return;
-                }
-                if self.cfg.durability.is_some() {
-                    let rec = WalRecord::Ingest {
-                        writer,
-                        loc,
-                        payload: payload.clone(),
-                        deps: deps.clone(),
-                    };
-                    self.wal_append(&rec);
-                    self.maybe_snapshot();
-                }
-                if self.replica.ingest(writer, loc, payload, deps, self.cfg.mode) {
-                    self.drain_flush_waiters();
-                }
-            }
-            Msg::UpdateBatch { proc, first_seq, upto, entries, delta, ack } => {
-                // A piggybacked ack covers the reverse link, sparing a
-                // standalone SessAck's information (the standalone still
-                // travels; cumulative acks are idempotent).
-                if let Some((acked, epoch)) = ack {
-                    if let Some(s) = &mut self.session {
-                        let scfg = s.cfg;
-                        s.sender(nid(self.proc.index()), nid(proc.index()))
-                            .on_ack(acked, epoch, &scfg);
-                    }
-                }
-                // Reconstruct the full dependency clock from the
-                // per-link delta against this link's shadow copy —
-                // before the ghost check, so even a skipped batch keeps
-                // the shadow in lock-step with the sender's.
-                let deps = delta.map(|dv| {
-                    let prev = self
-                        .link_clock_in
-                        .entry(proc.index())
-                        .or_insert_with(|| VClock::new(self.cfg.nprocs));
-                    for (q, c) in dv {
-                        prev.set(q, c);
-                    }
-                    prev.clone()
-                });
-                // Ghost batch after recovery: the content is already
-                // durable (or covered by a RecoverResp); batch windows
-                // never partially overlap, so a whole-batch skip is
-                // exact.
-                if self.cfg.durability.is_some() && upto <= self.replica.applied[proc] {
-                    return;
-                }
-                if self.cfg.durability.is_some() {
-                    let rec = WalRecord::IngestBatch {
-                        proc,
-                        first_seq,
-                        upto,
-                        entries: entries.to_vec(),
-                        deps: deps.clone(),
-                    };
-                    self.wal_append(&rec);
-                    self.maybe_snapshot();
-                }
-                if self.replica.ingest_batch(proc, first_seq, upto, entries, deps, self.cfg.mode) {
-                    self.drain_flush_waiters();
-                }
-            }
-            Msg::RecoverReq { proc, incarnation, applied } => {
-                // A reborn peer asks for whatever it never made durable.
-                if self.recover_seen.get(&proc).is_some_and(|&inc| incarnation <= inc) {
-                    return;
-                }
-                self.recover_seen.insert(proc, incarnation);
-                // Buffered writes are part of the history the delta is
-                // computed against — flush so the two agree.
-                self.flush_updates();
-                self.reset_reborn_link(proc);
-                self.recover_pushed.remove(&proc);
-                let seen = self.replica.applied[proc];
-                // One response per dependency-homogeneous chunk: a single
-                // batch gated on its last member's vector deadlocks when
-                // two survivors' deltas cross-reference each other's
-                // writes (see `Replica::delta_chunks`). Every chunk
-                // carries `seen` — the push-back dedups on its side.
-                let chunks = self.replica.delta_chunks(applied[self.proc]);
-                if chunks.is_empty() {
-                    let after = applied[self.proc];
-                    self.send(
-                        proc.index(),
-                        Msg::RecoverResp {
-                            proc: self.proc,
-                            first_seq: after + 1,
-                            upto: after,
-                            entries: Vec::new(),
-                            deps: None,
-                            seen,
-                        },
-                    );
-                } else {
-                    for (first_seq, upto, entries, deps) in chunks {
-                        self.send(
-                            proc.index(),
-                            Msg::RecoverResp {
-                                proc: self.proc,
-                                first_seq,
-                                upto,
-                                entries,
-                                deps,
-                                seen,
-                            },
-                        );
-                    }
-                }
-            }
-            Msg::RecoverResp { proc, first_seq, upto, entries, deps, seen } => {
-                if upto >= first_seq && first_seq > self.replica.applied[proc] {
-                    let rec = WalRecord::IngestBatch {
-                        proc,
-                        first_seq,
-                        upto,
-                        entries: entries.clone(),
-                        deps: deps.clone(),
-                    };
-                    self.wal_append(&rec);
-                    self.maybe_snapshot();
-                    if self.replica.ingest_batch(
-                        proc,
-                        first_seq,
-                        upto,
-                        entries.into(),
-                        deps,
-                        self.cfg.mode,
-                    ) {
-                        self.drain_flush_waiters();
-                    }
-                }
-                // Push back the suffix of own writes the peer has not
-                // seen — its durable log may be behind this node's.
-                // Chunked at dependency boundaries like the recovery
-                // delta, and high-watered: one RecoverResp arrives per
-                // chunk from that peer and each repeats `seen`, so the
-                // suffix must be pushed exactly once.
-                let pushed = self.recover_pushed.get(&proc).copied().unwrap_or(0);
-                let chunks = self.replica.delta_chunks(seen.max(pushed));
-                if let Some(&(_, last_upto, _, _)) = chunks.last() {
-                    self.recover_pushed.insert(proc, last_upto);
-                }
-                for (fs, u, es, d) in chunks {
-                    let delta = d.as_ref().map(|deps| {
-                        let prev = self
-                            .link_clock_out
-                            .entry(proc.index())
-                            .or_insert_with(|| VClock::new(self.cfg.nprocs));
-                        let changed: Vec<(ProcId, u32)> = (0..self.cfg.nprocs as u32)
-                            .map(ProcId)
-                            .filter(|&q| deps[q] != prev[q])
-                            .map(|q| (q, deps[q]))
-                            .collect();
-                        *prev = deps.clone();
-                        changed
-                    });
-                    let msg = Msg::UpdateBatch {
-                        proc: self.proc,
-                        first_seq: fs,
-                        upto: u,
-                        entries: es.into(),
-                        delta,
-                        ack: None,
-                    };
-                    self.send(proc.index(), msg);
-                }
-            }
-            Msg::Flush { from_proc, upto } => {
-                if self.replica.applied[from_proc] >= upto {
-                    self.send(from_proc.index(), Msg::FlushAck);
-                } else {
-                    self.flush_waiters.push((from_proc, upto));
-                }
-            }
-            Msg::FlushAck => self.flush_acks += 1,
-            Msg::LockGrant { lock, grant } => {
-                self.granted.insert(lock, grant);
-            }
-            Msg::BarrierRelease { barrier, round, knowledge } => {
-                self.barrier_released.insert((barrier, round), knowledge);
-            }
-            other @ (Msg::ScReadResp { .. } | Msg::ScWriteAck | Msg::ScAwaitResp { .. }) => {
-                self.sc_resp = Some(other);
-            }
-            Msg::ShardUpdate { writer, loc, payload, prev, deps } => {
-                let shard = self.replica.shards().expect("sharded").shard_of(loc);
-                if self.cfg.durability.is_some() {
-                    // Recovery ghost: content already on disk (or covered
-                    // by a ShardRecoverResp) — skip the re-log and
-                    // re-apply.
-                    let have =
-                        self.replica.shards().expect("sharded").applied(shard).get(writer.proc);
-                    if writer.seq <= have {
-                        return;
-                    }
-                    let rec = WalRecord::IngestSharded {
-                        writer,
-                        loc,
-                        payload: payload.clone(),
-                        prev,
-                        deps: deps.clone(),
-                    };
-                    self.wal_append(&rec);
-                }
-                self.replica.ingest_sharded(writer, loc, payload, prev, deps, self.cfg.mode);
-            }
-            Msg::ShardUpdateBatch { proc, shard, prev, upto, entries, deps } => {
-                if self.cfg.durability.is_some() {
-                    let have =
-                        self.replica.shards().expect("sharded").applied(shard as usize).get(proc);
-                    if upto <= have {
-                        return;
-                    }
-                    let rec = WalRecord::IngestShardChain {
-                        proc,
-                        shard,
-                        prev,
-                        upto,
-                        entries: entries.to_vec(),
-                        deps: deps.clone(),
-                        trim: false,
-                    };
-                    self.wal_append(&rec);
-                }
-                self.replica.ingest_shard_chain(
-                    proc,
-                    shard,
-                    prev,
-                    upto,
-                    entries,
-                    deps,
-                    self.cfg.mode,
-                    false,
-                );
-            }
-            Msg::SubAck { shard, subs } => {
-                // Persist the subscription before any access can depend
-                // on it: replay must filter dependency triples with the
-                // same interest set the replica had live.
-                if self.replica.shard_subscribe(shard as usize) && self.cfg.durability.is_some() {
-                    self.wal_append(&WalRecord::Subscribe { shard });
-                    self.wal_sync();
-                }
-                for q in subs {
-                    self.add_shard_route(shard, q);
-                }
-                // The first-touch operation retries in its gate loop.
-            }
-            Msg::SubNotify { shard, proc } => {
-                // A new subscriber joined: route future updates to it
-                // and push our own write suffix for the shard directly,
-                // so the join window closes without third-party state.
-                // One update per write — an atomic chain can deadlock
-                // against another parked chain whose dependency triples
-                // point back into this shard.
-                self.add_shard_route(shard, proc);
-                for (writer, loc, payload, prev, deps) in
-                    self.replica.shard_updates_after(&[(shard, 0)])
-                {
-                    self.send(proc.index(), Msg::ShardUpdate { writer, loc, payload, prev, deps });
-                }
-            }
-            Msg::ShardRecoverReq { proc: reborn, incarnation, applied } => {
-                if self.recover_seen.get(&reborn).is_some_and(|&inc| incarnation <= inc) {
-                    return;
-                }
-                self.recover_seen.insert(reborn, incarnation);
-                // Buffered shard batches are already in our durable own
-                // chains; flush so the recovery delta covers them.
-                self.flush_updates();
-                self.reset_reborn_link(reborn);
-                // Answer once per shard we share. The triples' shard ids
-                // double as the reborn's subscription set (zeros kept),
-                // so this also re-learns a dynamic subscriber's routes.
-                // Each answer carries only the watermark metadata (the
-                // push-back trigger); the write suffix itself follows as
-                // individual ShardUpdates interleaved across shards in
-                // global sequence order — per-shard atomic chains with
-                // mutual cross-shard triples would park against each
-                // other forever on a reborn replica that lost both.
-                let mut shards: Vec<u32> = applied.iter().map(|&(s, _, _)| s).collect();
-                shards.dedup();
-                let mut wants = Vec::new();
-                for s in shards {
-                    if !self.replica.shards().expect("sharded").subscribed(s as usize) {
-                        continue;
-                    }
-                    self.add_shard_route(s, reborn);
-                    let after = applied
-                        .iter()
-                        .find(|&&(ds, q, _)| ds == s && q == self.proc)
-                        .map_or(0, |&(_, _, c)| c);
-                    let seen =
-                        self.replica.shards().expect("sharded").applied(s as usize).get(reborn);
-                    let me = self.proc;
-                    self.send(
-                        reborn.index(),
-                        Msg::ShardRecoverResp {
-                            proc: me,
-                            shard: s,
-                            prev: after,
-                            upto: after,
-                            entries: Vec::new(),
-                            deps: Vec::new(),
-                            seen,
-                        },
-                    );
-                    wants.push((s, after));
-                }
-                for (writer, loc, payload, prev, deps) in self.replica.shard_updates_after(&wants) {
-                    self.send(
-                        reborn.index(),
-                        Msg::ShardUpdate { writer, loc, payload, prev, deps },
-                    );
-                }
-            }
-            Msg::ShardRecoverResp { proc, shard, prev, upto, entries, deps, seen } => {
-                // The responder subscribes to the shard, or it would not
-                // answer for it — merge the route (recovery re-learning,
-                // and the join-backfill path where it is already known).
-                self.add_shard_route(shard, proc);
-                let have =
-                    self.replica.shards().expect("sharded").applied(shard as usize).get(proc);
-                if upto > have {
-                    if self.cfg.durability.is_some() {
-                        let rec = WalRecord::IngestShardChain {
-                            proc,
-                            shard,
-                            prev,
-                            upto,
-                            entries: entries.clone(),
-                            deps: deps.clone(),
-                            trim: true,
-                        };
-                        self.wal_append(&rec);
-                    }
-                    self.replica.ingest_shard_chain(
-                        proc,
-                        shard,
-                        prev,
-                        upto,
-                        entries.into(),
-                        deps,
-                        self.cfg.mode,
-                        true,
-                    );
-                }
-                // Push back our own suffix the responder has not seen,
-                // one update per write for the same acyclicity reason
-                // as the recovery answers themselves.
-                for (writer, loc, payload, prev, deps) in
-                    self.replica.shard_updates_after(&[(shard, seen)])
-                {
-                    self.send(proc.index(), Msg::ShardUpdate { writer, loc, payload, prev, deps });
-                }
-            }
-            other => unreachable!("replica received {other:?}"),
-        }
-    }
-
-    fn drain_flush_waiters(&mut self) {
-        let waiters = std::mem::take(&mut self.flush_waiters);
-        for (fp, upto) in waiters {
-            if self.replica.applied[fp] >= upto {
-                self.send(fp.index(), Msg::FlushAck);
-            } else {
-                self.flush_waiters.push((fp, upto));
-            }
-        }
+    /// Fires the flush timer: ships whatever the node has buffered.
+    fn flush(&mut self) {
+        self.io.flush_at = None;
+        self.node.on_flush_due(&mut self.io);
     }
 
     /// Handles all already-delivered messages without blocking, then
-    /// flushes the outgoing batch if its wall-clock window has elapsed —
-    /// the live twin of the simulator's flush timer, checked on every
-    /// operation entry.
+    /// fires the flush timer if it has expired.
     fn drain(&mut self) {
         while let Ok(wire) = self.inbox.try_recv() {
             match wire {
@@ -1711,7 +1059,9 @@ impl LiveCtx {
                 Wire::Shutdown => unreachable!("shutdown during the program"),
             }
         }
-        self.maybe_flush_aged();
+        if self.io.flush_at.is_some_and(|t| Instant::now() >= t) {
+            self.flush();
+        }
     }
 
     /// Blocks until one more message arrives and handles it. With the
@@ -1724,13 +1074,11 @@ impl LiveCtx {
     /// live executor's deadlock detector.
     fn step(&mut self, waiting_for: &str) {
         // About to park: never sit on buffered writes another process
-        // might be waiting for — there is no background timer thread, so
-        // blocking is the flush point (the sim's timer fires within
-        // `max_delay_micros`; parking flushes at least that eagerly).
-        self.flush_updates();
+        // might be waiting for — blocking is a flush point.
+        self.flush();
         let deadline = Instant::now() + self.timeout;
         loop {
-            let wait = if self.session.is_some() {
+            let wait = if self.io.session.is_some() {
                 RETX_TICK.min(deadline.saturating_duration_since(Instant::now()))
             } else {
                 self.timeout
@@ -1738,7 +1086,7 @@ impl LiveCtx {
             match self.inbox.recv_timeout(wait) {
                 Ok(Wire::Proto { from, msg }) => return self.receive(from, msg),
                 Ok(Wire::Shutdown) => {
-                    panic!("{} received shutdown while waiting for {waiting_for}", self.proc)
+                    panic!("{} received shutdown while waiting for {waiting_for}", self.io.proc)
                 }
                 Err(RecvTimeoutError::Timeout) if Instant::now() < deadline => {
                     self.retransmit();
@@ -1746,369 +1094,67 @@ impl LiveCtx {
                 Err(_) => {
                     // The session dump is the post-mortem for stuck
                     // clusters: which links stopped acking, and where.
+                    let r = self.node.replica();
                     panic!(
                         "{} timed out after {:?} waiting for {waiting_for} \
                          (applied={:?} pending={} links={:?})",
-                        self.proc,
+                        self.io.proc,
                         self.timeout,
-                        self.replica.applied,
-                        self.replica.pending_len(),
-                        self.session.as_ref().map(|s| s.debug_links()),
+                        r.applied,
+                        r.pending_len(),
+                        self.io.session.as_ref().map(|s| s.debug_links()),
                     )
                 }
             }
         }
     }
 
-    fn broadcast_update(&mut self, msg: Msg) {
-        for i in 0..self.cfg.nprocs {
-            if i != self.proc.index() {
-                self.send(i, msg.clone());
-            }
-        }
-    }
-
-    fn do_write(&mut self, loc: Loc, payload: UpdatePayload) -> WriteId {
+    /// Runs one request to completion: submit it to the node, then park
+    /// on the inbox until the node answers.
+    fn run(&mut self, req: Req, waiting_for: &str) -> Resp {
         self.drain();
-        if self.cfg.mode == Mode::Sc {
-            self.replica.applied.tick(self.proc);
-            let id = WriteId::new(self.proc, self.replica.applied[self.proc]);
-            self.send(self.cfg.manager_node().index(), Msg::ScWrite { writer: id, loc, payload });
-            loop {
-                match self.sc_resp.take() {
-                    Some(Msg::ScWriteAck) => return id,
-                    Some(other) => unreachable!("expected write ack, got {other:?}"),
-                    None => self.step("SC write ack"),
-                }
+        if let Poll::Ready(resp) = self.node.start(&mut self.io, req) {
+            return resp;
+        }
+        loop {
+            self.step(waiting_for);
+            if let Some(resp) = self.node.poll(&mut self.io) {
+                return resp;
             }
         }
-        if self.sharded() {
-            self.shard_gate(loc);
-            return self.do_sharded_write(loc, payload);
-        }
-        let (id, deps) = self.replica.local_write(loc, payload.clone(), &self.cfg);
-        if let Some(policy) = self.cfg.durability {
-            let rec = WalRecord::OwnWrite { loc, payload: payload.clone(), deps: deps.clone() };
-            self.wal_append(&rec);
-            if !policy.group_commit {
-                // Append-before-ack: the own write is durable before this
-                // operation returns (and before any peer can observe it).
-                self.wal_sync();
-            }
-            // Under group commit the record stays staged; `send` fsyncs
-            // before the first message that could let a peer observe it.
-            self.maybe_snapshot();
-        }
-        if let Some(policy) = self.cfg.batch {
-            self.buffer_write(loc, payload, id, deps, policy);
-        } else {
-            self.broadcast_update(Msg::Update { writer: id, loc, payload, deps });
-        }
-        self.drain_flush_waiters();
-        id
     }
 
-    /// Buffers an outgoing update, coalescing with an earlier buffered
-    /// write to the same location (`Set` last-write-wins, `Add` sums);
-    /// force-flushes at the batch-size limit.
-    fn buffer_write(
-        &mut self,
-        loc: Loc,
-        payload: UpdatePayload,
-        id: WriteId,
-        deps: Option<VClock>,
-        policy: BatchPolicy,
-    ) {
-        let b = &mut self.batch;
-        if b.entries.is_empty() {
-            b.first_seq = id.seq;
-            b.since = Some(Instant::now());
-        }
-        b.upto = id.seq;
-        b.deps = deps;
-        let coalesced = match b.last_idx.get(&loc) {
-            Some(&idx) => {
-                let e = &mut b.entries[idx];
-                match (&mut e.payload, &payload) {
-                    (UpdatePayload::Set(cur), UpdatePayload::Set(v)) => {
-                        *cur = *v;
-                        e.writer = id;
-                        true
-                    }
-                    (UpdatePayload::Add(cur), UpdatePayload::Add(d)) => match cur.checked_add(*d) {
-                        Some(sum) => {
-                            *cur = sum;
-                            e.adds.push(id.seq);
-                            e.writer = id;
-                            true
-                        }
-                        None => false,
-                    },
-                    // Kind mismatch: a fresh entry keeps application order.
-                    _ => false,
-                }
-            }
-            None => false,
-        };
-        if !coalesced {
-            let adds = match &payload {
-                UpdatePayload::Add(_) => vec![id.seq],
-                UpdatePayload::Set(_) => Vec::new(),
-            };
-            b.last_idx.insert(loc, b.entries.len());
-            b.entries.push(BatchEntry { loc, payload, writer: id, adds });
-        }
-        if b.entries.len() >= policy.max_updates {
-            self.flush_updates();
-        }
-    }
-
-    /// The sharded write path: mint through the per-shard chain, log,
-    /// and multicast (or buffer) to the shard's subscribers only.
-    fn do_sharded_write(&mut self, loc: Loc, payload: UpdatePayload) -> WriteId {
-        let (id, prev, deps) = self.replica.sharded_write(loc, payload.clone(), &self.cfg);
-        if let Some(policy) = self.cfg.durability {
-            let rec =
-                WalRecord::OwnWriteSharded { loc, payload: payload.clone(), deps: deps.clone() };
-            self.wal_append(&rec);
-            if !policy.group_commit {
-                self.wal_sync();
-            }
-        }
-        if self.cfg.batch.is_some() {
-            self.buffer_shard_write(loc, payload, id, prev, deps);
-        } else {
-            let shard = self.cfg.sharding.as_ref().expect("sharded").shard_of(loc) as u32;
-            self.multicast_shard(shard, Msg::ShardUpdate { writer: id, loc, payload, prev, deps });
-        }
-        id
-    }
-
-    /// Buffers a sharded write into the per-shard outgoing batch,
-    /// coalescing like [`LiveCtx::buffer_write`] and sharing one
-    /// wall-clock flush window across shards.
-    fn buffer_shard_write(
-        &mut self,
-        loc: Loc,
-        payload: UpdatePayload,
-        id: WriteId,
-        prev: u32,
-        deps: Vec<(u32, ProcId, u32)>,
-    ) {
-        let policy = self.cfg.batch.expect("batching enabled");
-        let shard = self.cfg.sharding.as_ref().expect("sharded").shard_of(loc) as u32;
-        // Program order crosses shards: this write's dependency triples
-        // cover the process's own *buffered* writes in other shards, so
-        // two chains buffered concurrently could each require a member
-        // of the other and deadlock every receiver. Ship the other
-        // shards' buffers first — a chain then only references own
-        // writes already on the wire, and coalescing still collapses
-        // runs of same-shard writes (the locality case sharding is
-        // built around).
-        let mut others: Vec<u32> = self
-            .shard_out
-            .iter()
-            .filter(|&(&s, b)| s != shard && !b.entries.is_empty())
-            .map(|(&s, _)| s)
-            .collect();
-        others.sort_unstable();
-        for s in others {
-            self.flush_shard(s);
-        }
-        if self.shard_since.is_none() {
-            self.shard_since = Some(Instant::now());
-        }
-        let b = self.shard_out.entry(shard).or_default();
-        if b.entries.is_empty() {
-            b.prev = prev;
-        }
-        b.upto = id.seq;
-        b.deps = deps;
-        let coalesced = match b.last_idx.get(&loc) {
-            Some(&idx) => {
-                let e = &mut b.entries[idx];
-                match (&mut e.payload, &payload) {
-                    (UpdatePayload::Set(cur), UpdatePayload::Set(v)) => {
-                        *cur = *v;
-                        e.writer = id;
-                        true
-                    }
-                    (UpdatePayload::Add(cur), UpdatePayload::Add(d)) => match cur.checked_add(*d) {
-                        Some(sum) => {
-                            *cur = sum;
-                            e.adds.push(id.seq);
-                            e.writer = id;
-                            true
-                        }
-                        None => false,
-                    },
-                    _ => false,
-                }
-            }
-            None => false,
-        };
-        if !coalesced {
-            let adds = match &payload {
-                UpdatePayload::Add(_) => vec![id.seq],
-                UpdatePayload::Set(_) => Vec::new(),
-            };
-            b.last_idx.insert(loc, b.entries.len());
-            b.entries.push(BatchEntry { loc, payload, writer: id, adds });
-        }
-        if b.entries.len() >= policy.max_updates {
-            self.flush_shard(shard);
-        }
-    }
-
-    /// Flushes one shard's outgoing buffer to its subscribers.
-    fn flush_shard(&mut self, shard: u32) {
-        let Some(b) = self.shard_out.get_mut(&shard) else { return };
-        if b.entries.is_empty() {
-            return;
-        }
-        // One shared entry buffer for the whole multicast: each
-        // subscriber's copy (and any retransmit) bumps a refcount
-        // instead of deep-cloning the entries.
-        let entries: std::sync::Arc<[BatchEntry]> = std::mem::take(&mut b.entries).into();
-        b.last_idx.clear();
-        let (prev, upto) = (b.prev, b.upto);
-        let deps = std::mem::take(&mut b.deps);
-        let me = self.proc;
-        self.multicast_shard(
-            shard,
-            Msg::ShardUpdateBatch { proc: me, shard, prev, upto, entries, deps },
-        );
-    }
-
-    /// Flushes every non-empty per-shard buffer, in shard order.
-    fn flush_shards(&mut self) {
-        let mut shards: Vec<u32> =
-            self.shard_out.iter().filter(|(_, b)| !b.entries.is_empty()).map(|(&s, _)| s).collect();
-        shards.sort_unstable();
-        for s in shards {
-            self.flush_shard(s);
-        }
-        self.shard_since = None;
-    }
-
-    /// Sends the buffered batch to every peer, delta-compressing the
-    /// dependency vector against each link's shadow clock and
-    /// piggybacking a cumulative session ack when the session layer has
-    /// delivered anything from that peer.
-    fn flush_updates(&mut self) {
-        if self.cfg.batch.is_none() {
-            return;
-        }
-        if self.sharded() {
-            self.flush_shards();
-            return;
-        }
-        if self.batch.entries.is_empty() {
-            return;
-        }
-        // One encoded-once buffer for the fan-out: every peer's
-        // message and every session retransmit share it by refcount
-        // (the fix for per-peer-per-retransmit deep clones).
-        let entries: std::sync::Arc<[BatchEntry]> = std::mem::take(&mut self.batch.entries).into();
-        self.batch.last_idx.clear();
-        self.batch.since = None;
-        let (first_seq, upto) = (self.batch.first_seq, self.batch.upto);
-        let deps = self.batch.deps.take();
-        let me = self.proc.index();
-        for to in 0..self.cfg.nprocs {
-            if to == me {
-                continue;
-            }
-            let delta = deps.as_ref().map(|d| {
-                let prev =
-                    self.link_clock_out.entry(to).or_insert_with(|| VClock::new(self.cfg.nprocs));
-                let changed: Vec<(ProcId, u32)> = (0..self.cfg.nprocs as u32)
-                    .map(ProcId)
-                    .filter(|&q| d[q] != prev[q])
-                    .map(|q| (q, d[q]))
-                    .collect();
-                *prev = d.clone();
-                changed
-            });
-            let ack = self.session.as_mut().and_then(|s| {
-                let rx = s.receiver(nid(to), nid(me));
-                let acked = rx.delivered();
-                (acked > 0).then_some((acked, rx.epoch()))
-            });
-            let msg = Msg::UpdateBatch {
-                proc: self.proc,
-                first_seq,
-                upto,
-                entries: entries.clone(),
-                delta,
-                ack,
-            };
-            self.send(to, msg);
-        }
-    }
-
-    /// Flushes if a buffered batch has outlived its wall-clock window.
-    fn maybe_flush_aged(&mut self) {
-        let Some(policy) = self.cfg.batch else { return };
-        let window = Duration::from_micros(policy.max_delay_micros);
-        let aged = |since: Option<Instant>| since.is_some_and(|t| t.elapsed() >= window);
-        if aged(self.batch.since) || aged(self.shard_since) {
-            self.flush_updates();
+    fn wrote(&mut self, req: Req) -> WriteId {
+        match self.run(req, "write") {
+            Resp::Wrote { id } => id,
+            other => unreachable!("expected a write identity, got {other:?}"),
         }
     }
 
     /// Writes `value` to `loc` and returns the write identity.
     pub fn write(&mut self, loc: Loc, value: impl Into<Value>) -> WriteId {
         let value = value.into();
-        let id = self.do_write(loc, UpdatePayload::Set(value));
-        self.push(OpKind::Write { loc, value, id });
+        let id = self.wrote(Req::Write { loc, value });
+        self.io.record(OpKind::Write { loc, value, id });
         id
     }
 
     /// Applies a commutative increment (counter objects).
     pub fn add(&mut self, loc: Loc, delta: impl Into<Value>) -> WriteId {
         let delta = delta.into();
-        let id = self.do_write(loc, UpdatePayload::Add(delta));
-        self.push(OpKind::Update { loc, delta, id });
+        let id = self.wrote(Req::Update { loc, delta });
+        self.io.record(OpKind::Update { loc, delta, id });
         id
     }
 
     /// Reads `loc` with an explicit label.
     pub fn read(&mut self, loc: Loc, label: ReadLabel) -> Value {
-        self.drain();
-        if self.cfg.mode == Mode::Sc {
-            self.send(self.cfg.manager_node().index(), Msg::ScRead { proc: self.proc, loc });
-            loop {
-                match self.sc_resp.take() {
-                    Some(Msg::ScReadResp { value, writer }) => {
-                        let recorded = Some(writer.unwrap_or(WriteId::initial(loc)));
-                        self.push(OpKind::Read { loc, label, value, writer: recorded });
-                        return value;
-                    }
-                    Some(other) => unreachable!("expected read response, got {other:?}"),
-                    None => self.step("SC read response"),
-                }
-            }
-        }
-        self.shard_gate(loc);
-        let effective = self.cfg.read_policy(self.proc, label);
-        loop {
-            let ready = match effective {
-                ReadLabel::Causal => self.replica.causal_ready(loc),
-                ReadLabel::Pram => self.replica.pram_ready(loc),
-            };
-            if ready {
-                break;
-            }
-            self.step("read visibility");
-        }
-        let value = self.replica.value(loc);
-        let writer = Some(self.replica.writer_of(loc).unwrap_or(WriteId::initial(loc)));
-        // Observation barrier: the value returned here may expose remote
-        // ingests (and, under group commit, own writes) still staged on
-        // the WAL — make them durable before the program can act on them.
-        self.observe_sync();
-        self.push(OpKind::Read { loc, label, value, writer });
+        let Resp::Value { value, writer } = self.run(Req::Read { loc, label }, "read visibility")
+        else {
+            unreachable!("reads answer with a value")
+        };
+        let writer = Some(writer.unwrap_or(WriteId::initial(loc)));
+        self.io.record(OpKind::Read { loc, label, value, writer });
         value
     }
 
@@ -2124,90 +1170,14 @@ impl LiveCtx {
 
     /// Acquires a lock.
     pub fn lock(&mut self, lock: LockId, mode: LockMode) {
-        assert!(!self.sharded(), "locks are not supported with sharding");
-        assert!(!self.held.contains_key(&lock), "{} re-acquires {lock}", self.proc);
-        self.drain();
-        self.send(
-            self.cfg.lock_manager_node(lock).index(),
-            Msg::LockReq { proc: self.proc, lock, mode },
-        );
-        loop {
-            let ready = match self.granted.get(&lock) {
-                None => false,
-                Some(_) if !self.cfg.mode.is_replicated() => true,
-                Some(g) => match self.cfg.lock_propagation {
-                    LockPropagation::Eager | LockPropagation::DemandDriven => true,
-                    LockPropagation::Lazy => {
-                        if g.knowledge.is_empty() {
-                            g.preds.iter().all(|&(q, c)| self.replica.applied[q] >= c)
-                        } else {
-                            self.replica.applied.dominates(&g.knowledge)
-                        }
-                    }
-                },
-            };
-            if ready {
-                break;
-            }
-            self.step("lock grant");
-        }
-        let g = self.granted.remove(&lock).expect("grant present");
-        if self.cfg.lock_propagation == LockPropagation::DemandDriven {
-            self.replica.absorb_demand(&g.demand);
-        } else {
-            self.replica.absorb_sync(&g.knowledge, &g.preds);
-        }
-        self.held.insert(lock, mode);
-        self.push(OpKind::Lock { lock, mode });
+        self.run(Req::Lock { lock, mode }, "lock grant");
+        self.io.record(OpKind::Lock { lock, mode });
     }
 
-    /// Releases a lock.
+    /// Releases a lock (recorded by the node's release hook, before the
+    /// release message leaves).
     pub fn unlock(&mut self, lock: LockId, mode: LockMode) {
-        assert_eq!(self.held.get(&lock), Some(&mode), "{} bad unlock", self.proc);
-        self.drain();
-        // Everything written inside the critical section must be on the
-        // wire before the release (and before eager flush probes quote
-        // `own_count`): the next holder's grant orders after these sends.
-        self.flush_updates();
-        let eager = self.cfg.lock_propagation == LockPropagation::Eager
-            && self.cfg.mode.is_replicated()
-            && self.cfg.nprocs > 1;
-        if eager {
-            self.flush_acks = 0;
-            let upto = self.replica.own_count();
-            for i in 0..self.cfg.nprocs {
-                if i != self.proc.index() {
-                    self.send(i, Msg::Flush { from_proc: self.proc, upto });
-                }
-            }
-            while self.flush_acks < self.cfg.nprocs - 1 {
-                self.step("flush acks");
-            }
-            self.flush_acks = 0;
-        }
-        self.held.remove(&lock);
-        // Record before the release message leaves: the next holder's
-        // grant (and its own record) is causally after this push, keeping
-        // the recorder's epoch order valid.
-        self.push(OpKind::Unlock { lock, mode });
-        let dirty = if self.cfg.lock_propagation == LockPropagation::DemandDriven {
-            self.replica.take_dirty(lock)
-        } else {
-            Vec::new()
-        };
-        let knowledge =
-            if self.cfg.mode.carries_vectors() { self.replica.knowledge() } else { VClock::new(0) };
-        self.send(
-            self.cfg.lock_manager_node(lock).index(),
-            Msg::LockRel {
-                proc: self.proc,
-                lock,
-                mode,
-                knowledge,
-                own_count: self.replica.own_count(),
-                dirty,
-            },
-        );
+        self.run(Req::Unlock { lock, mode }, "flush acks");
     }
 
     /// Write-locks (`wl`).
@@ -2245,75 +1215,25 @@ impl LiveCtx {
 
     /// Arrives at (and passes) a barrier object.
     pub fn barrier_on(&mut self, barrier: BarrierId) {
-        assert!(!self.sharded(), "barriers are not supported with sharding");
-        self.drain();
-        // Pre-barrier writes must precede the arrival: the release's
-        // knowledge vector points peers at them.
-        self.flush_updates();
-        let round = {
-            let e = self.barrier_next.entry(barrier).or_insert(0);
-            let r = *e;
-            *e += 1;
-            r
+        let Resp::BarrierPassed { round } = self.run(Req::Barrier { barrier }, "barrier release")
+        else {
+            unreachable!("barriers answer with their round")
         };
-        let knowledge = match self.cfg.mode {
-            Mode::Causal | Mode::Mixed => self.replica.knowledge(),
-            Mode::Pram => self.replica.applied.clone(),
-            Mode::Sc => VClock::new(0),
-        };
-        self.send(
-            self.cfg.barrier_manager_node(barrier).index(),
-            Msg::BarrierArrive { proc: self.proc, barrier, round, knowledge },
-        );
-        loop {
-            if let Some(k) = self.barrier_released.remove(&(barrier, round)) {
-                if !k.is_empty() {
-                    if self.cfg.mode.carries_vectors() {
-                        self.replica.must_see.merge(&k);
-                    }
-                    self.replica.pram_wait.merge(&k);
-                }
-                break;
-            }
-            self.step("barrier release");
-        }
-        self.push(OpKind::Barrier { barrier, round: BarrierRound(round) });
+        self.io.record(OpKind::Barrier { barrier, round: BarrierRound(round) });
     }
 
     /// Blocks until `loc = value` (`await`).
     pub fn await_eq(&mut self, loc: Loc, value: impl Into<Value>) -> Value {
         let value = value.into();
-        self.drain();
-        if self.cfg.mode == Mode::Sc {
-            self.send(
-                self.cfg.manager_node().index(),
-                Msg::ScAwait { proc: self.proc, loc, value },
-            );
-            loop {
-                match self.sc_resp.take() {
-                    Some(Msg::ScAwaitResp { value: v, writers }) => {
-                        let writers =
-                            if writers.is_empty() { vec![WriteId::initial(loc)] } else { writers };
-                        self.push(OpKind::Await { loc, value: v, writers });
-                        return v;
-                    }
-                    Some(other) => unreachable!("expected await response, got {other:?}"),
-                    None => self.step("SC await"),
-                }
-            }
-        }
-        self.shard_gate(loc);
-        while self.replica.value(loc) != value {
-            self.step("await condition");
-        }
-        let mut writers = self.replica.await_writers(loc);
+        let Resp::Awaited { value, mut writers } =
+            self.run(Req::Await { loc, value }, "await condition")
+        else {
+            unreachable!("awaits answer with the awaited value")
+        };
         if writers.is_empty() {
             writers.push(WriteId::initial(loc));
         }
-        // Same observation barrier as `read`: the awaited value must be
-        // durable before the program acts on having seen it.
-        self.observe_sync();
-        self.push(OpKind::Await { loc, value, writers });
+        self.io.record(OpKind::Await { loc, value, writers });
         value
     }
 }

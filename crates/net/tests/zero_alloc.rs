@@ -8,18 +8,23 @@
 //!    against a reused arena. After warm-up the loop must perform
 //!    **zero** allocations: encoding writes into reclaimed arena
 //!    capacity, the frame is a refcounted view, and decoding a dense
-//!    frame borrows from the receive buffer.
+//!    frame borrows from the receive buffer. The count is per thread —
+//!    armed around the loop on the measuring thread only — so
+//!    allocations by other harness threads (a sibling test's runtime,
+//!    lingering workers) cannot land in the measured window.
 //! 2. A real two-process loopback cluster pushes a 10 000-write storm
 //!    and the buffer pool's global counters must show reuse dominating
 //!    allocation — the per-peer arenas and receive buffers recycle
 //!    their regions instead of growing the heap.
 //!
-//! Both tests read process-global counters, so they serialize on one
-//! mutex rather than trusting the harness's thread scheduling.
+//! The buffer pool's counters are process-global, so the tests
+//! serialize on one mutex rather than trusting the harness's thread
+//! scheduling. The lock ignores poisoning: one failing test must not
+//! turn its sibling's verdict into a poison error.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use bytes::{pool_stats, BytesMut};
 use mc_model::{Loc, ProcId, Value, WriteId};
@@ -30,11 +35,26 @@ use mc_proto::{Mode, Msg, UpdatePayload};
 /// Counts allocations without changing them.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// This thread's allocation count while armed (`None`: not
+    /// counting). A `const` thread-local of a `Cell` needs no lazy
+    /// initialization and no destructor, so the allocator can touch it
+    /// without allocating.
+    static ALLOCS: Cell<Option<u64>> = const { Cell::new(None) };
+}
+
+fn note_alloc() {
+    // `try_with`: allocations during thread teardown find the slot gone.
+    let _ = ALLOCS.try_with(|c| {
+        if let Some(n) = c.get() {
+            c.set(Some(n + 1));
+        }
+    });
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -43,7 +63,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        note_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -51,8 +71,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTING: CountingAlloc = CountingAlloc;
 
-/// Serializes the tests: both read process-global counters.
+/// The allocations `f` performs on the calling thread.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    ALLOCS.with(|c| c.set(Some(0)));
+    f();
+    ALLOCS.with(Cell::take).expect("counter armed")
+}
+
+/// Serializes the tests: the buffer pool's counters are process-global.
 static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One transport send/receive cycle, exactly as `Link::push` and the
 /// reader loop perform it: encode into the arena, split the frame off
@@ -79,7 +110,7 @@ fn cycle(arena: &mut BytesMut, msg: &Msg) {
 
 #[test]
 fn steady_state_wire_cycle_allocates_nothing() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let msg = Msg::Update {
         writer: WriteId::new(ProcId(0), 7),
         loc: Loc(3),
@@ -91,21 +122,20 @@ fn steady_state_wire_cycle_allocates_nothing() {
     for _ in 0..64 {
         cycle(&mut arena, &msg);
     }
-    let before = ALLOCS.load(Ordering::Relaxed);
-    for _ in 0..10_000 {
-        cycle(&mut arena, &msg);
-    }
-    let after = ALLOCS.load(Ordering::Relaxed);
+    let allocs = allocations_in(|| {
+        for _ in 0..10_000 {
+            cycle(&mut arena, &msg);
+        }
+    });
     assert_eq!(
-        after - before,
-        0,
+        allocs, 0,
         "the encode/decode hot path must not touch the allocator in steady state"
     );
 }
 
 #[test]
 fn tcp_storm_reuses_pool_buffers() {
-    let _guard = SERIAL.lock().unwrap();
+    let _guard = serial();
     let (allocs0, reuses0) = pool_stats();
     let mut sys = NetSystem::new(2, Mode::Causal);
     sys.spawn(|ctx| {

@@ -1,237 +1,175 @@
-//! The DSM protocol: a [`mc_sim::Protocol`] implementation covering all
-//! four memory modes and the synchronization subsystem.
+//! The DSM protocol as a [`mc_sim::Protocol`]: the simulator's driver
+//! around one [`ProcNode`] per process plus the manager shards.
 //!
-//! Topology: process `i` runs on node `i` with its [`Replica`]; node
-//! `nprocs` is the [`Manager`] (lock manager, barrier manager, and — in SC
-//! mode — the central memory server).
+//! Topology: process `i` runs on node `i` with its [`ProcNode`]; nodes
+//! `nprocs..` are the [`Manager`] shards (lock manager, barrier manager,
+//! and — in SC mode — the central memory server). Everything
+//! protocol-specific lives in the node; this driver owns what only the
+//! simulator has: virtual timers, the shared session state machines,
+//! trace annotations and the simulated disks.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
-use mc_model::{BarrierId, Loc, LockId, LockMode, ProcId, ReadLabel, VClock, Value, WriteId};
-use mc_sim::{NetCtx, NodeId, Poll, ProcToken, Protocol};
+use mc_model::{Loc, ProcId, Value};
+use mc_sim::{NetCtx, NodeId, Poll, ProcToken, Protocol, SimTime};
 
-use crate::config::{DsmConfig, LockPropagation, Mode};
-use crate::durability::{decode_wal, MemDisk, Snapshot, WalRecord, WalTail};
+use crate::config::DsmConfig;
+use crate::durability::{decode_wal, MemDisk, Snapshot, WalTail};
 use crate::manager::Manager;
-use crate::msg::{BatchEntry, GrantInfo, Msg, UpdatePayload};
+use crate::msg::{Msg, UpdatePayload};
+use crate::node::{NodeIo, ProcNode};
+pub use crate::node::{Req, Resp};
 use crate::replica::Replica;
 use crate::session::{self, Session, SessionConfig};
 
 /// Timer-token namespace bit for batch flush timers. Session link
 /// tokens pack two 32-bit node ids, so their bit 63 is always clear;
-/// flush tokens set it and carry the flushing process in the low bits.
+/// flush tokens set it and carry the flushing node in the low bits.
 const FLUSH_TOKEN_BIT: u64 = 1 << 63;
-
-fn flush_token(p: ProcId) -> u64 {
-    FLUSH_TOKEN_BIT | p.0 as u64
-}
-
-/// One process's outgoing update buffer (batching enabled only).
-/// Entries coalesce same-location writes: `Set` last-write-wins, `Add`
-/// sums — each against the *latest* entry for the location, so a
-/// kind mismatch starts a new entry and order is preserved.
-#[derive(Debug, Default)]
-struct OutBatch {
-    /// First own-write sequence number buffered.
-    first_seq: u32,
-    /// Last own-write sequence number buffered.
-    upto: u32,
-    entries: Vec<BatchEntry>,
-    /// Latest entry index per location (coalescing target).
-    last_idx: HashMap<Loc, usize>,
-    /// Dependency vector of the last buffered write (vector modes).
-    deps: Option<VClock>,
-    /// Whether a flush timer is pending for this process. Timers cannot
-    /// be cancelled, so a timer that fires after a sync-triggered flush
-    /// clears the flag and flushes whatever (possibly nothing) is there.
-    timer_armed: bool,
-}
-
-/// One process's outgoing buffer for a single shard (sharding with
-/// batching enabled). Entries coalesce exactly like [`OutBatch`]; the
-/// chain link `prev` anchors the batch in the writer's per-shard FIFO
-/// chain, and dependencies are the sparse triples of the last member
-/// (per-shard clocks are monotone, so the last member's knowledge
-/// dominates every earlier member's).
-#[derive(Debug, Default)]
-struct ShardOutBatch {
-    /// The writer's own seq in the shard before the first member.
-    prev: u32,
-    /// Last own-write sequence buffered.
-    upto: u32,
-    entries: Vec<BatchEntry>,
-    /// Latest entry index per location (coalescing target).
-    last_idx: HashMap<Loc, usize>,
-    /// Dependency triples of the last buffered write.
-    deps: Vec<(u32, ProcId, u32)>,
-}
-
-/// A memory or synchronization operation submitted by a process.
-#[derive(Clone, Debug)]
-pub enum Req {
-    /// Labeled read (labels are ignored in the pure modes: PRAM memory
-    /// reads PRAM, causal memory reads causal, SC reads at the server).
-    Read {
-        /// Location.
-        loc: Loc,
-        /// Consistency label (honored in [`Mode::Mixed`]).
-        label: ReadLabel,
-    },
-    /// Write.
-    Write {
-        /// Location.
-        loc: Loc,
-        /// Value stored.
-        value: Value,
-    },
-    /// Commutative increment (counter objects, Section 5.3).
-    Update {
-        /// Location.
-        loc: Loc,
-        /// Signed delta (integer or float).
-        delta: Value,
-    },
-    /// Acquire a read or write lock.
-    Lock {
-        /// Lock object.
-        lock: LockId,
-        /// Shared or exclusive.
-        mode: LockMode,
-    },
-    /// Release a lock.
-    Unlock {
-        /// Lock object.
-        lock: LockId,
-        /// Shared or exclusive.
-        mode: LockMode,
-    },
-    /// Arrive at (and pass) a barrier.
-    Barrier {
-        /// Barrier object.
-        barrier: BarrierId,
-    },
-    /// `await(loc = value)`.
-    Await {
-        /// Location.
-        loc: Loc,
-        /// Value awaited.
-        value: Value,
-    },
-}
-
-/// The response to a [`Req`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum Resp {
-    /// Read result.
-    Value {
-        /// The value returned.
-        value: Value,
-        /// The write that produced it (`None` = initial value).
-        writer: Option<WriteId>,
-    },
-    /// Write/update result.
-    Wrote {
-        /// The minted write identity.
-        id: WriteId,
-    },
-    /// Lock, unlock.
-    Done,
-    /// Barrier passed.
-    BarrierPassed {
-        /// The round that completed.
-        round: u32,
-    },
-    /// Await satisfied.
-    Awaited {
-        /// The observed value.
-        value: Value,
-        /// The writes whose application produced it.
-        writers: Vec<WriteId>,
-    },
-}
-
-/// What a parked process is waiting for.
-#[derive(Clone, Debug)]
-enum Blocked {
-    Read {
-        loc: Loc,
-        label: ReadLabel,
-    },
-    Await {
-        loc: Loc,
-        value: Value,
-    },
-    Lock {
-        lock: LockId,
-        mode: LockMode,
-    },
-    UnlockFlush {
-        lock: LockId,
-    },
-    Barrier {
-        barrier: BarrierId,
-        round: u32,
-    },
-    /// Waiting for an SC server RPC response.
-    Sc,
-    /// Waiting for a dynamic shard subscription to be acknowledged by
-    /// the directory; the first-touch request retries once it is.
-    Subscribe {
-        shard: u32,
-        retry: Box<Req>,
-    },
-}
 
 /// The complete DSM protocol state.
 #[derive(Debug)]
 pub struct Dsm {
-    cfg: DsmConfig,
-    replicas: Vec<Replica>,
+    cfg: Arc<DsmConfig>,
+    nodes: Vec<ProcNode>,
     managers: Vec<Manager>,
-    blocked: Vec<Option<Blocked>>,
-    held: Vec<HashMap<LockId, LockMode>>,
-    granted: Vec<HashMap<LockId, GrantInfo>>,
-    flush_acks: Vec<usize>,
-    /// Per node: flush probes whose acknowledgement awaits local applies.
-    flush_waiters: Vec<Vec<(ProcId, u32)>>,
-    barrier_next: Vec<HashMap<BarrierId, u32>>,
-    barrier_released: Vec<HashMap<(BarrierId, u32), VClock>>,
-    sc_resp: Vec<Option<Resp>>,
-    sc_pending_write: Vec<Option<WriteId>>,
-    /// Reliable-delivery session layer (`Some` iff [`DsmConfig::reliable`]).
+    /// Reliable-delivery session layer (`Some` iff [`DsmConfig::reliable`]),
+    /// one state machine keyed by directed link for every node.
     session: Option<Session>,
-    /// Per-process outgoing update buffers (used iff [`DsmConfig::batch`]).
-    out_batches: Vec<OutBatch>,
-    /// Sender-side shadow of the dependency clock last transmitted on
-    /// each directed replica link (vector-clock delta compression).
-    link_clock_out: HashMap<(NodeId, NodeId), VClock>,
-    /// High-water of own-write sequences already pushed back per
-    /// `(this node, reborn peer)` link — chunked recovery responses
-    /// repeat `seen`, and the push-back must not repeat with them.
-    recover_pushed: HashMap<(NodeId, NodeId), u32>,
-    /// Receiver-side shadow clocks reconstructing full vectors from
-    /// per-link deltas.
-    link_clock_in: HashMap<(NodeId, NodeId), VClock>,
     /// Per-replica simulated disks (meaningful iff [`DsmConfig::durability`]).
     disks: Vec<MemDisk>,
-    /// Log records appended since the last snapshot, per replica
-    /// (the count-based compaction cadence).
-    records_since_snap: Vec<u32>,
-    /// Highest reborn-incarnation handled per `(observer node, reborn
-    /// process)` — a duplicated raw [`Msg::RecoverReq`] must not reset
-    /// the link (and resend the delta) twice.
-    recover_seen: HashMap<(NodeId, ProcId), u32>,
-    /// Per-node multicast routes (sharding only): `shard_routes[i][s]`
-    /// lists the peer processes node `i` knows to subscribe to shard
-    /// `s` (self excluded). Seeded from the static interest sets;
-    /// dynamic joiners are merged in from [`Msg::SubNotify`],
-    /// [`Msg::SubAck`], and recovery answers. Kept sorted so multicast
-    /// order is deterministic under DPOR.
-    shard_routes: Vec<Vec<Vec<ProcId>>>,
-    /// Per-process per-shard outgoing buffers (sharding with batching).
-    /// The per-process flush timer in [`OutBatch::timer_armed`] is
-    /// shared: one firing flushes every shard's buffer.
-    shard_out: Vec<HashMap<u32, ShardOutBatch>>,
+    /// Per process: whether a batch flush timer is pending. Timers
+    /// cannot be cancelled, so one that fires after a sync-triggered
+    /// flush clears the flag and flushes whatever (possibly nothing) is
+    /// buffered; until then writes into empty buffers arm no other.
+    flush_armed: Vec<bool>,
+}
+
+/// Sends one protocol message, through the session layer when it is
+/// enabled. Sessioned payloads keep their *inner* kind in the metrics
+/// (the 8-byte header shows up in the byte counters); retransmissions
+/// and acks are labeled `retransmit` / `session_ack`.
+///
+/// With tracing on, an update's vector timestamp is attached to the
+/// message span the network just recorded — the same clocks that order
+/// causal delivery double as trace metadata. Batch frames are annotated
+/// with their member writes instead (sequence range plus the coalesced
+/// per-location entries).
+fn sim_send(
+    net: &mut NetCtx<'_, Msg>,
+    session: &mut Option<Session>,
+    from: NodeId,
+    to: NodeId,
+    msg: Msg,
+) {
+    let annotation: Option<(&'static str, String)> = if net.tracing() {
+        match &msg {
+            Msg::Update { deps: Some(deps), .. } => Some(("vclock", deps.to_string())),
+            Msg::UpdateBatch { first_seq, upto, entries, delta, .. } => {
+                let members: Vec<String> = entries
+                    .iter()
+                    .map(|e| match e.payload {
+                        UpdatePayload::Set(_) => e.loc.to_string(),
+                        UpdatePayload::Add(_) => format!("{}+{}", e.loc, e.adds.len()),
+                    })
+                    .collect();
+                Some((
+                    "batch",
+                    format!(
+                        "w{first_seq}..={upto} [{}] Δ{}",
+                        members.join(","),
+                        delta.as_ref().map_or(0, Vec::len)
+                    ),
+                ))
+            }
+            _ => None,
+        }
+    } else {
+        None
+    };
+    match session {
+        None => {
+            let (kind, bytes) = (msg.kind(), msg.wire_bytes());
+            net.send(from, to, kind, bytes, msg);
+        }
+        Some(s) => {
+            let kind = msg.kind();
+            let tx = s.sender(from, to);
+            let wrapped = tx.wrap(msg);
+            if !tx.timer_armed {
+                tx.timer_armed = true;
+                let rto = tx.rto();
+                net.set_timer(from, rto, session::link_token(from, to));
+            }
+            net.send(from, to, kind, wrapped.wire_bytes(), wrapped);
+        }
+    }
+    if let Some((key, v)) = annotation {
+        net.trace_annotate(key, v);
+    }
+}
+
+/// A process node's view of the simulator: the network context, the
+/// shared session layer, and the node's own disk.
+struct SimIo<'a, 'n> {
+    node: NodeId,
+    net: &'a mut NetCtx<'n, Msg>,
+    session: &'a mut Option<Session>,
+    disk: &'a mut MemDisk,
+    flush_armed: &'a mut bool,
+}
+
+impl NodeIo for SimIo<'_, '_> {
+    fn send(&mut self, to: NodeId, msg: Msg) {
+        sim_send(self.net, self.session, self.node, to, msg);
+    }
+
+    fn send_raw(&mut self, to: NodeId, msg: Msg) {
+        let (kind, bytes) = (msg.kind(), msg.wire_bytes());
+        self.net.send(self.node, to, kind, bytes, msg);
+    }
+
+    fn resend(&mut self, to: NodeId, wire: Vec<Msg>) {
+        if wire.is_empty() {
+            return;
+        }
+        for m in wire {
+            self.net.send(self.node, to, "retransmit", m.wire_bytes(), m);
+        }
+        let tx = self.session.as_mut().expect("resend without session layer").sender(self.node, to);
+        if !tx.timer_armed {
+            tx.timer_armed = true;
+            let rto = tx.rto();
+            self.net.set_timer(self.node, rto, session::link_token(self.node, to));
+        }
+    }
+
+    fn session(&mut self) -> Option<&mut Session> {
+        self.session.as_mut()
+    }
+
+    fn arm_flush_timer(&mut self, delay_micros: u64) {
+        if !*self.flush_armed {
+            *self.flush_armed = true;
+            let token = FLUSH_TOKEN_BIT | self.node.0 as u64;
+            self.net.set_timer(self.node, SimTime::from_micros(delay_micros), token);
+        }
+    }
+
+    fn wal_append(&mut self, frame: &[u8]) {
+        self.disk.append(frame);
+        self.net.record_wal_append(1);
+    }
+
+    fn wal_sync(&mut self) {
+        let n = self.disk.sync();
+        self.net.record_wal_sync(n);
+    }
+
+    fn install_snapshot(&mut self, bytes: Vec<u8>) {
+        self.disk.install_snapshot(bytes);
+        self.net.record_snapshot();
+    }
 }
 
 impl Dsm {
@@ -245,67 +183,15 @@ impl Dsm {
                  snapshots do not persist last-writer-wins tags"
             );
         }
-        let coherent =
-            |i: usize| cfg.models.as_ref().is_some_and(|m| m.is_coherent(ProcId(i as u32)));
-        // Sharding binds to the replicated modes only: the SC
-        // substrate's central server holds the one authoritative copy,
-        // so a shard map is accepted but inert there.
-        let sharded = cfg.sharding.clone().filter(|_| cfg.mode.is_replicated());
-        let shard_routes = match &sharded {
-            None => Vec::new(),
-            Some(sc) => (0..n)
-                .map(|i| {
-                    (0..sc.nshards)
-                        .map(|s| {
-                            (0..n as u32)
-                                .map(ProcId)
-                                .filter(|&q| q.index() != i && sc.subscribed(q, s))
-                                .collect()
-                        })
-                        .collect()
-                })
-                .collect(),
-        };
+        let cfg = Arc::new(cfg);
         Dsm {
-            replicas: (0..n)
-                .map(|i| {
-                    let r = Replica::new(ProcId(i as u32), n)
-                        .with_store_capacity(cfg.locations)
-                        .with_coherent(coherent(i));
-                    match &sharded {
-                        Some(sc) => r.with_sharding(sc.nshards, sc.interest[i].clone()),
-                        None => r,
-                    }
-                })
-                .collect(),
+            nodes: (0..n).map(|i| ProcNode::new(ProcId(i as u32), cfg.clone())).collect(),
             managers: (0..cfg.manager_shards).map(|_| Manager::new(n)).collect(),
-            blocked: vec![None; n],
-            held: vec![HashMap::new(); n],
-            granted: vec![HashMap::new(); n],
-            flush_acks: vec![0; n],
-            flush_waiters: vec![Vec::new(); n],
-            barrier_next: vec![HashMap::new(); n],
-            barrier_released: vec![HashMap::new(); n],
-            sc_resp: vec![None; n],
-            sc_pending_write: vec![None; n],
             session: cfg.reliable.then(|| Session::new(SessionConfig::default())),
-            out_batches: (0..n).map(|_| OutBatch::default()).collect(),
-            link_clock_out: HashMap::new(),
-            recover_pushed: HashMap::new(),
-            link_clock_in: HashMap::new(),
             disks: vec![MemDisk::new(); n],
-            records_since_snap: vec![0; n],
-            recover_seen: HashMap::new(),
-            shard_routes,
-            shard_out: (0..n).map(|_| HashMap::new()).collect(),
+            flush_armed: vec![false; n],
             cfg,
         }
-    }
-
-    /// Whether sharded interest-based replication is active (a shard
-    /// map on a replicated mode).
-    fn sharded(&self) -> bool {
-        self.cfg.sharding.is_some() && self.cfg.mode.is_replicated()
     }
 
     /// The session layer (if enabled) — tests and invariant checks.
@@ -320,7 +206,7 @@ impl Dsm {
 
     /// Read access to a replica (tests, invariant checks).
     pub fn replica(&self, proc: ProcId) -> &Replica {
-        &self.replicas[proc.index()]
+        self.nodes[proc.index()].replica()
     }
 
     /// The SC server's value of `loc` (SC mode result collection).
@@ -339,527 +225,36 @@ impl Dsm {
         self.disks[proc.index()] = disk;
     }
 
-    fn manager_node(&self) -> NodeId {
-        self.cfg.manager_node()
-    }
-
-    fn proc_node(p: ProcId) -> NodeId {
-        NodeId(p.0)
-    }
-
-    /// Sends one protocol message, through the session layer when it is
-    /// enabled. Sessioned payloads keep their *inner* kind in the metrics
-    /// (the 8-byte header shows up in the byte counters); retransmissions
-    /// and acks are labeled `retransmit` / `session_ack`.
-    ///
-    /// With tracing on, an update's vector timestamp is attached to the
-    /// message span the network just recorded — the same clocks that
-    /// order causal delivery double as trace metadata. Batch frames are
-    /// annotated with their member writes instead (sequence range plus
-    /// the coalesced per-location entries).
-    fn send(&mut self, net: &mut NetCtx<'_, Msg>, from: NodeId, to: NodeId, msg: Msg) {
-        // Group-commit externalization barrier: no protocol message may
-        // leave a replica node while log records are still staged — a
-        // peer (or, transitively, the program) could otherwise observe
-        // a write that a crash then un-happens. Per-write policies sync
-        // at the write itself; group commit relies on this barrier (and
-        // on [`Dsm::observe_sync`] for local reads) to amortize one
-        // fsync over every record staged since the last.
-        if self.cfg.durability.is_some_and(|d| d.group_commit) && from.index() < self.disks.len() {
-            self.wal_sync(ProcId(from.0), net);
-        }
-        let annotation: Option<(&'static str, String)> = if net.tracing() {
-            match &msg {
-                Msg::Update { deps: Some(deps), .. } => Some(("vclock", deps.to_string())),
-                Msg::UpdateBatch { first_seq, upto, entries, delta, .. } => {
-                    let members: Vec<String> = entries
-                        .iter()
-                        .map(|e| match e.payload {
-                            UpdatePayload::Set(_) => e.loc.to_string(),
-                            UpdatePayload::Add(_) => format!("{}+{}", e.loc, e.adds.len()),
-                        })
-                        .collect();
-                    Some((
-                        "batch",
-                        format!(
-                            "w{first_seq}..={upto} [{}] Δ{}",
-                            members.join(","),
-                            delta.as_ref().map_or(0, Vec::len)
-                        ),
-                    ))
-                }
-                _ => None,
-            }
-        } else {
-            None
-        };
-        match &mut self.session {
-            None => {
-                let (kind, bytes) = (msg.kind(), msg.wire_bytes());
-                net.send(from, to, kind, bytes, msg);
-            }
-            Some(s) => {
-                let kind = msg.kind();
-                let tx = s.sender(from, to);
-                let wrapped = tx.wrap(msg);
-                if !tx.timer_armed {
-                    tx.timer_armed = true;
-                    let rto = tx.rto();
-                    net.set_timer(from, rto, session::link_token(from, to));
-                }
-                net.send(from, to, kind, wrapped.wire_bytes(), wrapped);
-            }
-        }
-        if let Some((key, v)) = annotation {
-            net.trace_annotate(key, v);
-        }
-    }
-
-    /// Stages one write-ahead-log record on a replica's disk (not yet
-    /// durable — [`Dsm::wal_sync`] is the modeled fsync).
-    fn wal_append(&mut self, p: ProcId, rec: &WalRecord, net: &mut NetCtx<'_, Msg>) {
-        self.disks[p.index()].append(&rec.encode());
-        net.record_wal_append(1);
-        self.records_since_snap[p.index()] += 1;
-    }
-
-    /// Fsyncs a replica's staged log tail.
-    fn wal_sync(&mut self, p: ProcId, net: &mut NetCtx<'_, Msg>) {
-        let n = self.disks[p.index()].sync();
-        if n > 0 {
-            net.record_wal_sync(n);
-        }
-    }
-
-    /// Fsync before an observation returns. Remote ingests are staged
-    /// (appended, unsynced) until some local read or await could expose
-    /// them to the program; past that point a crash must not un-happen
-    /// them, or a surviving reader would watch its own history regress.
-    fn observe_sync(&mut self, p: ProcId, net: &mut NetCtx<'_, Msg>) {
-        if self.cfg.durability.is_some() {
-            self.wal_sync(p, net);
-        }
-    }
-
-    /// Compacts a replica's log into a snapshot once the count-based
-    /// cadence is due. The log is fsynced first so the snapshot never
-    /// covers records a crash could still drop.
-    fn maybe_snapshot(&mut self, p: ProcId, net: &mut NetCtx<'_, Msg>) {
-        let Some(policy) = self.cfg.durability else { return };
-        // Snapshots do not capture per-shard clocks, own chains, or
-        // subscriptions: sharded replicas stay log-only, and recovery
-        // replays the full WAL.
-        if self.sharded() {
-            return;
-        }
-        if self.records_since_snap[p.index()] < policy.snapshot_every {
-            return;
-        }
-        self.wal_sync(p, net);
-        let node = Self::proc_node(p);
-        let watermarks = match &mut self.session {
-            None => Vec::new(),
-            Some(s) => (0..self.cfg.nprocs as u32)
-                .filter(|&j| j != p.0)
-                .map(|j| (ProcId(j), s.receiver(NodeId(j), node).delivered()))
-                .collect(),
-        };
-        let snap = self.replicas[p.index()].to_snapshot(watermarks);
-        self.disks[p.index()].install_snapshot(snap.encode());
-        self.records_since_snap[p.index()] = 0;
-        net.record_snapshot();
-    }
-
-    /// Delta compression for a directed replica link: only the clock
-    /// components that changed since the last frame on this link go on
-    /// the wire, as absolute values. FIFO delivery (native or restored
-    /// by the session layer) keeps both shadow clocks in lockstep.
-    fn batch_delta(&mut self, from: NodeId, to: NodeId, deps: &VClock) -> Vec<(ProcId, u32)> {
-        let prev =
-            self.link_clock_out.entry((from, to)).or_insert_with(|| VClock::new(self.cfg.nprocs));
-        let changed: Vec<(ProcId, u32)> = (0..self.cfg.nprocs as u32)
-            .map(ProcId)
-            .filter(|&q| deps[q] != prev[q])
-            .map(|q| (q, deps[q]))
-            .collect();
-        *prev = deps.clone();
-        changed
-    }
-
-    /// Buffers a local write into the process's outgoing batch,
-    /// coalescing against the latest entry for the location, arming the
-    /// flush timer on the empty→non-empty transition, and force-flushing
-    /// at the policy's size limit.
-    fn buffer_write(
-        &mut self,
-        p: ProcId,
-        loc: Loc,
-        payload: UpdatePayload,
-        id: WriteId,
-        deps: Option<VClock>,
-        net: &mut NetCtx<'_, Msg>,
-    ) {
-        let policy = self.cfg.batch.expect("batching enabled");
-        let b = &mut self.out_batches[p.index()];
-        if b.entries.is_empty() {
-            b.first_seq = id.seq;
-            if !b.timer_armed {
-                b.timer_armed = true;
-                let delay = mc_sim::SimTime::from_micros(policy.max_delay_micros);
-                net.set_timer(Self::proc_node(p), delay, flush_token(p));
-            }
-        }
-        b.upto = id.seq;
-        b.deps = deps;
-        let coalesced = match b.last_idx.get(&loc) {
-            Some(&idx) => {
-                let e = &mut b.entries[idx];
-                match (&mut e.payload, &payload) {
-                    (UpdatePayload::Set(cur), UpdatePayload::Set(v)) => {
-                        *cur = *v;
-                        e.writer = id;
-                        true
-                    }
-                    (UpdatePayload::Add(cur), UpdatePayload::Add(d)) => match cur.checked_add(*d) {
-                        Some(sum) => {
-                            *cur = sum;
-                            e.adds.push(id.seq);
-                            e.writer = id;
-                            true
-                        }
-                        None => false,
-                    },
-                    // Kind mismatch: a fresh entry keeps application order.
-                    _ => false,
-                }
-            }
-            None => false,
-        };
-        if !coalesced {
-            let adds = match &payload {
-                UpdatePayload::Add(_) => vec![id.seq],
-                UpdatePayload::Set(_) => Vec::new(),
-            };
-            b.last_idx.insert(loc, b.entries.len());
-            b.entries.push(BatchEntry { loc, payload, writer: id, adds });
-        }
-        if b.entries.len() >= policy.max_updates {
-            self.flush_updates(p, net);
-        }
-    }
-
-    /// Flushes the process's outgoing batch (no-op when empty or when
-    /// batching is off) to every peer replica, attaching a per-link
-    /// dependency-clock delta and — when the session layer runs — a
-    /// piggybacked cumulative ack for the reverse link. Called before
-    /// every message that establishes `↦lock`/`↦bar` order, at the size
-    /// limit, and on the delay timer.
-    fn flush_updates(&mut self, p: ProcId, net: &mut NetCtx<'_, Msg>) {
-        if self.cfg.batch.is_none() {
-            return;
-        }
-        if self.sharded() {
-            self.flush_shards(p, net);
-            return;
-        }
-        let b = &mut self.out_batches[p.index()];
-        if b.entries.is_empty() {
-            return;
-        }
-        // One shared buffer for the whole fan-out: each peer's message
-        // (and any session retransmit copy) bumps a refcount instead of
-        // deep-cloning the entries.
-        let entries: std::sync::Arc<[BatchEntry]> = std::mem::take(&mut b.entries).into();
-        b.last_idx.clear();
-        let (first_seq, upto) = (b.first_seq, b.upto);
-        let deps = b.deps.take();
-        let from = Self::proc_node(p);
-        for j in 0..self.cfg.nprocs as u32 {
-            if j == p.0 {
-                continue;
-            }
-            let to = NodeId(j);
-            let delta = deps.as_ref().map(|d| self.batch_delta(from, to, d));
-            let ack = self.session.as_mut().and_then(|s| {
-                let rx = s.receiver(to, from);
-                let upto = rx.delivered();
-                (upto > 0).then_some((upto, rx.epoch()))
-            });
-            let msg =
-                Msg::UpdateBatch { proc: p, first_seq, upto, entries: entries.clone(), delta, ack };
-            self.send(net, from, to, msg);
-        }
-    }
-
-    /// Broadcasts an update to every *replica* node except the writer's.
-    fn broadcast_update(&mut self, net: &mut NetCtx<'_, Msg>, from: ProcId, msg: Msg) {
-        for i in 0..self.cfg.nprocs as u32 {
-            if i != from.0 {
-                self.send(net, Self::proc_node(from), NodeId(i), msg.clone());
-            }
-        }
-    }
-
-    /// Multicasts a sharded message to the peers node `from` knows to
-    /// subscribe to `shard` — the partial-replication replacement for
-    /// [`Dsm::broadcast_update`].
-    fn multicast_shard(&mut self, net: &mut NetCtx<'_, Msg>, from: ProcId, shard: u32, msg: Msg) {
-        let peers = self.shard_routes[from.index()][shard as usize].clone();
-        for q in peers {
-            self.send(net, Self::proc_node(from), Self::proc_node(q), msg.clone());
-        }
-    }
-
-    /// Records at `node` that `q` subscribes to `shard` (route tables
-    /// never list the node's own process; insertion keeps them sorted
-    /// for deterministic multicast order).
-    fn add_shard_route(&mut self, node: NodeId, shard: u32, q: ProcId) {
-        if q.0 == node.0 {
-            return;
-        }
-        let routes = &mut self.shard_routes[node.index()][shard as usize];
-        if let Err(i) = routes.binary_search(&q) {
-            routes.insert(i, q);
-        }
-    }
-
-    /// Gates a sharded access to `loc` on a subscription to its shard.
-    /// Returns `true` when the access may proceed (not sharded, or
-    /// already subscribed). A first touch outside the interest set
-    /// parks the process on a directory round-trip when the dynamic
-    /// fallback is enabled, and is a program error otherwise.
-    fn shard_gate(
-        &mut self,
-        p: ProcId,
+    /// Splits out process node `node` and its view of the simulator.
+    fn node_io<'a, 'n>(
+        &'a mut self,
         node: NodeId,
-        loc: Loc,
-        req: &Req,
-        net: &mut NetCtx<'_, Msg>,
-    ) -> bool {
-        if !self.sharded() {
-            return true;
-        }
-        let (shard, dynamic) = {
-            let sc = self.cfg.sharding.as_ref().expect("sharded");
-            (sc.shard_of(loc), sc.dynamic)
+        net: &'a mut NetCtx<'n, Msg>,
+    ) -> (&'a mut ProcNode, SimIo<'a, 'n>) {
+        let i = node.index();
+        let io = SimIo {
+            node,
+            net,
+            session: &mut self.session,
+            disk: &mut self.disks[i],
+            flush_armed: &mut self.flush_armed[i],
         };
-        if self.replicas[p.index()].shards().expect("sharded").subscribed(shard) {
-            return true;
-        }
-        assert!(
-            dynamic,
-            "{p} touches {loc} (shard {shard}) outside its interest set \
-             and the dynamic subscribe-on-first-touch fallback is off"
-        );
-        let shard = shard as u32;
-        let mgr = self.manager_node();
-        self.send(net, node, mgr, Msg::SubReq { proc: p, shard });
-        self.blocked[p.index()] = Some(Blocked::Subscribe { shard, retry: Box::new(req.clone()) });
-        false
+        (&mut self.nodes[i], io)
     }
 
-    /// Buffers a sharded local write into the process's per-shard
-    /// outgoing batch (sharding with batching), coalescing like
-    /// [`Dsm::buffer_write`] and sharing the per-process flush timer.
-    #[allow(clippy::too_many_arguments)]
-    fn buffer_shard_write(
-        &mut self,
-        p: ProcId,
-        loc: Loc,
-        payload: UpdatePayload,
-        id: WriteId,
-        prev: u32,
-        deps: Vec<(u32, ProcId, u32)>,
-        net: &mut NetCtx<'_, Msg>,
-    ) {
-        let policy = self.cfg.batch.expect("batching enabled");
-        let shard = self.cfg.sharding.as_ref().expect("sharded").shard_of(loc) as u32;
-        // Program order crosses shards: this write's dependency triples
-        // cover the process's own *buffered* writes in other shards, so
-        // two chains buffered concurrently could each require a member
-        // of the other and deadlock every receiver. Ship the other
-        // shards' buffers first — a chain then only references own
-        // writes already on the wire, and coalescing still collapses
-        // runs of same-shard writes (the locality case sharding is
-        // built around).
-        let mut others: Vec<u32> = self.shard_out[p.index()]
-            .iter()
-            .filter(|&(&s, b)| s != shard && !b.entries.is_empty())
-            .map(|(&s, _)| s)
-            .collect();
-        others.sort_unstable();
-        for s in others {
-            self.flush_shard(p, s, net);
-        }
-        if !self.out_batches[p.index()].timer_armed {
-            self.out_batches[p.index()].timer_armed = true;
-            let delay = mc_sim::SimTime::from_micros(policy.max_delay_micros);
-            net.set_timer(Self::proc_node(p), delay, flush_token(p));
-        }
-        let b = self.shard_out[p.index()].entry(shard).or_default();
-        if b.entries.is_empty() {
-            b.prev = prev;
-        }
-        b.upto = id.seq;
-        b.deps = deps;
-        let coalesced = match b.last_idx.get(&loc) {
-            Some(&idx) => {
-                let e = &mut b.entries[idx];
-                match (&mut e.payload, &payload) {
-                    (UpdatePayload::Set(cur), UpdatePayload::Set(v)) => {
-                        *cur = *v;
-                        e.writer = id;
-                        true
-                    }
-                    (UpdatePayload::Add(cur), UpdatePayload::Add(d)) => match cur.checked_add(*d) {
-                        Some(sum) => {
-                            *cur = sum;
-                            e.adds.push(id.seq);
-                            e.writer = id;
-                            true
-                        }
-                        None => false,
-                    },
-                    _ => false,
-                }
+    /// Delivers one unwrapped protocol message (the pre-session
+    /// `on_message` body): managers answer through their outbox, process
+    /// nodes handle it themselves.
+    fn dispatch(&mut self, to: NodeId, from: NodeId, msg: Msg, net: &mut NetCtx<'_, Msg>) {
+        if self.cfg.is_manager_node(to) {
+            let shard = to.index() - self.cfg.nprocs;
+            for (proc, msg) in self.managers[shard].handle(msg, &self.cfg) {
+                sim_send(net, &mut self.session, to, NodeId(proc.0), msg);
             }
-            None => false,
-        };
-        if !coalesced {
-            let adds = match &payload {
-                UpdatePayload::Add(_) => vec![id.seq],
-                UpdatePayload::Set(_) => Vec::new(),
-            };
-            b.last_idx.insert(loc, b.entries.len());
-            b.entries.push(BatchEntry { loc, payload, writer: id, adds });
-        }
-        if b.entries.len() >= policy.max_updates {
-            self.flush_shard(p, shard, net);
-        }
-    }
-
-    /// Flushes one shard's outgoing buffer to its subscribers.
-    fn flush_shard(&mut self, p: ProcId, shard: u32, net: &mut NetCtx<'_, Msg>) {
-        let Some(b) = self.shard_out[p.index()].get_mut(&shard) else { return };
-        if b.entries.is_empty() {
             return;
         }
-        let entries = std::mem::take(&mut b.entries);
-        b.last_idx.clear();
-        let (prev, upto) = (b.prev, b.upto);
-        let deps = std::mem::take(&mut b.deps);
-        let msg =
-            Msg::ShardUpdateBatch { proc: p, shard, prev, upto, entries: entries.into(), deps };
-        self.multicast_shard(net, p, shard, msg);
-    }
-
-    /// Flushes every non-empty per-shard buffer of `p`, in shard order
-    /// (deterministic under DPOR).
-    fn flush_shards(&mut self, p: ProcId, net: &mut NetCtx<'_, Msg>) {
-        let mut shards: Vec<u32> = self.shard_out[p.index()]
-            .iter()
-            .filter(|(_, b)| !b.entries.is_empty())
-            .map(|(&s, _)| s)
-            .collect();
-        shards.sort_unstable();
-        for s in shards {
-            self.flush_shard(p, s, net);
-        }
-    }
-
-    /// The effective label of a read issued by `proc` — per process
-    /// under a model assignment, per the global mode otherwise.
-    fn effective_label(&self, proc: ProcId, label: ReadLabel) -> ReadLabel {
-        self.cfg.read_policy(proc, label)
-    }
-
-    fn read_ready(
-        &mut self,
-        proc: ProcId,
-        loc: Loc,
-        label: ReadLabel,
-        net: &mut NetCtx<'_, Msg>,
-    ) -> Option<Resp> {
-        let r = &mut self.replicas[proc.index()];
-        let ok = match label {
-            ReadLabel::Causal => r.causal_ready(loc),
-            ReadLabel::Pram => r.pram_ready(loc),
-        };
-        if !ok {
-            return None;
-        }
-        let value = r.value(loc);
-        let writer = r.writer_of(loc);
-        self.observe_sync(proc, net);
-        Some(Resp::Value { value, writer })
-    }
-
-    fn await_ready(
-        &mut self,
-        proc: ProcId,
-        loc: Loc,
-        value: Value,
-        net: &mut NetCtx<'_, Msg>,
-    ) -> Option<Resp> {
-        let r = &mut self.replicas[proc.index()];
-        if r.value(loc) != value {
-            return None;
-        }
-        let writers = r.await_writers(loc);
-        self.observe_sync(proc, net);
-        Some(Resp::Awaited { value, writers })
-    }
-
-    /// Sends the release to the manager, shipping demand/lazy metadata.
-    /// Buffered updates flush first: the release establishes `↦lock`
-    /// order, so every write program-ordered before it must already be
-    /// on the wire (FIFO links then deliver them ahead of any knowledge
-    /// derived from this release).
-    fn finish_release(&mut self, proc: ProcId, lock: LockId, net: &mut NetCtx<'_, Msg>) {
-        self.flush_updates(proc, net);
-        let mode = self.held[proc.index()]
-            .remove(&lock)
-            .unwrap_or_else(|| panic!("{proc} releases {lock} it does not hold"));
-        let r = &mut self.replicas[proc.index()];
-        let dirty = if self.cfg.lock_propagation == LockPropagation::DemandDriven {
-            r.take_dirty(lock)
-        } else {
-            Vec::new()
-        };
-        let knowledge =
-            if self.cfg.mode.carries_vectors() { r.knowledge() } else { VClock::new(0) };
-        let msg = Msg::LockRel { proc, lock, mode, knowledge, own_count: r.own_count(), dirty };
-        let mgr = self.cfg.lock_manager_node(lock);
-        self.send(net, Self::proc_node(proc), mgr, msg);
-    }
-
-    /// The knowledge vector a process attaches to barrier arrivals.
-    fn sync_knowledge(&self, proc: ProcId) -> VClock {
-        match self.cfg.mode {
-            Mode::Causal | Mode::Mixed => self.replicas[proc.index()].knowledge(),
-            // PRAM barriers carry the per-sender update counts (Section 6).
-            Mode::Pram => self.replicas[proc.index()].applied.clone(),
-            Mode::Sc => VClock::new(0),
-        }
-    }
-
-    /// Delivers manager outbox messages to the owning replica nodes.
-    fn deliver_outbox(&mut self, net: &mut NetCtx<'_, Msg>, from: NodeId, out: Vec<(ProcId, Msg)>) {
-        for (proc, msg) in out {
-            self.send(net, from, Self::proc_node(proc), msg);
-        }
-    }
-
-    /// After applies at `node`, acknowledge any satisfied flush probes.
-    fn drain_flush_waiters(&mut self, node: NodeId, net: &mut NetCtx<'_, Msg>) {
-        let waiters = std::mem::take(&mut self.flush_waiters[node.index()]);
-        let (ready, still): (Vec<_>, Vec<_>) = waiters
-            .into_iter()
-            .partition(|&(fp, upto)| self.replicas[node.index()].applied[fp] >= upto);
-        self.flush_waiters[node.index()] = still;
-        for (from_proc, _) in ready {
-            self.send(net, node, Self::proc_node(from_proc), Msg::FlushAck);
-        }
+        let (node, mut io) = self.node_io(to, net);
+        node.on_msg(&mut io, from, msg);
     }
 }
 
@@ -875,112 +270,9 @@ impl Protocol for Dsm {
         req: Req,
         net: &mut NetCtx<'_, Msg>,
     ) -> Poll<Resp> {
-        let p = ProcId(proc.0);
-        debug_assert_eq!(node, Self::proc_node(p), "process i runs on node i");
-        match req {
-            Req::Read { loc, label } => {
-                if self.cfg.mode == Mode::Sc {
-                    self.send(net, node, self.manager_node(), Msg::ScRead { proc: p, loc });
-                    self.blocked[p.index()] = Some(Blocked::Sc);
-                    return Poll::Pending;
-                }
-                if !self.shard_gate(p, node, loc, &Req::Read { loc, label }, net) {
-                    return Poll::Pending;
-                }
-                let label = self.effective_label(p, label);
-                match self.read_ready(p, loc, label, net) {
-                    Some(resp) => Poll::Ready(resp),
-                    None => {
-                        self.blocked[p.index()] = Some(Blocked::Read { loc, label });
-                        Poll::Pending
-                    }
-                }
-            }
-            Req::Write { loc, value } => {
-                self.do_write(p, node, loc, UpdatePayload::Set(value), net)
-            }
-            Req::Update { loc, delta } => {
-                self.do_write(p, node, loc, UpdatePayload::Add(delta), net)
-            }
-            Req::Lock { lock, mode } => {
-                assert!(!self.sharded(), "locks are not supported with sharding");
-                assert!(!self.held[p.index()].contains_key(&lock), "{p} re-acquires {lock}");
-                self.send(
-                    net,
-                    node,
-                    self.cfg.lock_manager_node(lock),
-                    Msg::LockReq { proc: p, lock, mode },
-                );
-                self.blocked[p.index()] = Some(Blocked::Lock { lock, mode });
-                Poll::Pending
-            }
-            Req::Unlock { lock, mode } => {
-                let held = self.held[p.index()].get(&lock).copied();
-                assert_eq!(held, Some(mode), "{p} unlocks {lock} with wrong mode");
-                let eager_flush = self.cfg.lock_propagation == LockPropagation::Eager
-                    && self.cfg.mode.is_replicated()
-                    && self.cfg.nprocs > 1;
-                if eager_flush {
-                    // Buffered updates must precede the flush probes on
-                    // every link, or peers could never reach `upto`.
-                    self.flush_updates(p, net);
-                    let upto = self.replicas[p.index()].own_count();
-                    self.flush_acks[p.index()] = 0;
-                    for i in 0..self.cfg.nprocs as u32 {
-                        if i != p.0 {
-                            self.send(net, node, NodeId(i), Msg::Flush { from_proc: p, upto });
-                        }
-                    }
-                    self.blocked[p.index()] = Some(Blocked::UnlockFlush { lock });
-                    Poll::Pending
-                } else {
-                    self.finish_release(p, lock, net);
-                    Poll::Ready(Resp::Done)
-                }
-            }
-            Req::Barrier { barrier } => {
-                assert!(!self.sharded(), "barriers are not supported with sharding");
-                let round = {
-                    let e = self.barrier_next[p.index()].entry(barrier).or_insert(0);
-                    let r = *e;
-                    *e += 1;
-                    r
-                };
-                // The arrival establishes `↦bar` order: flush first so
-                // participants released with our knowledge can apply
-                // the writes it promises.
-                self.flush_updates(p, net);
-                let knowledge = self.sync_knowledge(p);
-                self.send(
-                    net,
-                    node,
-                    self.cfg.barrier_manager_node(barrier),
-                    Msg::BarrierArrive { proc: p, barrier, round, knowledge },
-                );
-                self.blocked[p.index()] = Some(Blocked::Barrier { barrier, round });
-                Poll::Pending
-            }
-            Req::Await { loc, value } => {
-                if self.cfg.mode == Mode::Sc {
-                    self.send(net, node, self.manager_node(), Msg::ScAwait { proc: p, loc, value });
-                    self.blocked[p.index()] = Some(Blocked::Sc);
-                    return Poll::Pending;
-                }
-                if !self.shard_gate(p, node, loc, &Req::Await { loc, value }, net) {
-                    return Poll::Pending;
-                }
-                match self.await_ready(p, loc, value, net) {
-                    Some(resp) => Poll::Ready(resp),
-                    None => {
-                        // Blocking on a flag others may in turn await:
-                        // don't sit on unflushed writes while parked.
-                        self.flush_updates(p, net);
-                        self.blocked[p.index()] = Some(Blocked::Await { loc, value });
-                        Poll::Pending
-                    }
-                }
-            }
-        }
+        debug_assert_eq!(node, NodeId(proc.0), "process i runs on node i");
+        let (node, mut io) = self.node_io(node, net);
+        node.start(&mut io, req)
     }
 
     fn on_message(&mut self, to: NodeId, from: NodeId, msg: Msg, net: &mut NetCtx<'_, Msg>) {
@@ -1010,18 +302,20 @@ impl Protocol for Dsm {
     fn poll_blocked(
         &mut self,
         proc: ProcToken,
-        _node: NodeId,
+        node: NodeId,
         net: &mut NetCtx<'_, Msg>,
     ) -> Option<Resp> {
-        self.poll_blocked_inner(proc, net)
+        debug_assert_eq!(node, NodeId(proc.0), "process i runs on node i");
+        let (node, mut io) = self.node_io(node, net);
+        node.poll(&mut io)
     }
 
     fn on_timer(&mut self, node: NodeId, token: u64, net: &mut NetCtx<'_, Msg>) {
         if token & FLUSH_TOKEN_BIT != 0 {
-            let p = ProcId((token & !FLUSH_TOKEN_BIT) as u32);
-            debug_assert_eq!(node, Self::proc_node(p), "flush timer fires at the writer");
-            self.out_batches[p.index()].timer_armed = false;
-            self.flush_updates(p, net);
+            debug_assert_eq!(token & !FLUSH_TOKEN_BIT, node.0 as u64, "flush fires at the writer");
+            self.flush_armed[node.index()] = false;
+            let (node, mut io) = self.node_io(node, net);
+            node.on_flush_due(&mut io);
             return;
         }
         let Some(s) = &mut self.session else { return };
@@ -1051,10 +345,9 @@ impl Protocol for Dsm {
         }
     }
 
-    /// Crash-recover a replica node: drop the unsynced log tail, rebuild
-    /// the replica from snapshot + log, bump (and persist) the
-    /// incarnation, wipe every piece of volatile per-link state, and ask
-    /// the peers for the missing delta.
+    /// Crash-recover a replica node: power loss drops the unsynced log
+    /// tail, then the node rebuilds from snapshot + log
+    /// ([`ProcNode::rebuild`]).
     ///
     /// In the simulator the crash models the *memory system's* node, not
     /// the client: the program (and the read gates / lock bookkeeping it
@@ -1064,102 +357,26 @@ impl Protocol for Dsm {
             !self.cfg.is_manager_node(node),
             "crash-recover of a manager node is unsupported (managers keep no durable state)"
         );
-        let i = node.index();
-        let p = ProcId(node.0);
-        // Power loss: staged (appended, never fsynced) records are gone.
-        let lost = self.disks[i].crash();
+        let disk = &mut self.disks[node.index()];
+        let lost = disk.crash();
         if lost > 0 {
             net.record_wal_lost(lost);
         }
-        // Rebuild from disk: snapshot first, then replay the log suffix
-        // through the normal ingest machinery.
-        let (snap_bytes, log_bytes) = {
-            let (s, l) = self.disks[i].load();
-            (s.map(<[u8]>::to_vec), l.to_vec())
-        };
-        let fresh = match &snap_bytes {
-            Some(bytes) => {
-                let snap = Snapshot::decode(bytes).expect("simulated snapshots never corrupt");
-                Replica::from_snapshot(p, self.cfg.nprocs, &snap)
-                    .with_store_capacity(self.cfg.locations)
-            }
-            None => Replica::new(p, self.cfg.nprocs).with_store_capacity(self.cfg.locations),
-        };
-        // Sharded replicas are log-only (no snapshots): rebuild with the
-        // static interest set, then let WAL replay re-mint own writes,
-        // re-ingest remote chains, and restore dynamic subscriptions.
-        let fresh = match self.cfg.sharding.as_ref().filter(|_| self.cfg.mode.is_replicated()) {
-            Some(sc) => fresh.with_sharding(sc.nshards, sc.interest[i].clone()),
-            None => fresh,
-        };
-        let old = std::mem::replace(&mut self.replicas[i], fresh);
-        let (records, tail) = decode_wal(&log_bytes);
+        let (snap, log) = disk.load();
+        let snap = snap.map(|b| Snapshot::decode(b).expect("simulated snapshots never corrupt"));
+        let (records, tail) = decode_wal(log);
         debug_assert!(
             matches!(tail, WalTail::Clean),
             "MemDisk drops whole staged records, never torn bytes"
         );
-        let replayed = records.len() as u64;
-        for rec in records {
-            self.replicas[i].replay_record(rec, self.cfg.mode);
+        if !records.is_empty() {
+            net.record_wal_replayed(records.len() as u64);
         }
-        if replayed > 0 {
-            net.record_wal_replayed(replayed);
-        }
-        let r = &mut self.replicas[i];
-        // The client program survives: carry its earned read gates and
-        // lock watermarks onto the reborn replica, so post-crash reads
-        // still wait for everything the program has already observed.
-        r.must_see = old.must_see;
-        r.pram_wait = old.pram_wait;
-        r.invalid = old.invalid;
-        r.lock_watermarks = old.lock_watermarks;
-        // New incarnation, persisted (and fsynced) before any session
-        // traffic, so a second crash cannot resurrect this epoch space.
-        let inc = r.incarnation.max(old.incarnation) + 1;
-        r.incarnation = inc;
-        let rec = WalRecord::Incarnation { incarnation: inc };
-        self.disks[i].append(&rec.encode());
-        net.record_wal_append(1);
-        let synced = self.disks[i].sync();
-        net.record_wal_sync(synced);
-        self.records_since_snap[i] = replayed as u32 + 1;
-        // Volatile state is gone: session links (fresh senders start at
-        // the incarnation's base epoch), shadow clocks, and the
-        // outgoing batch — its writes are durable in the own-write
-        // history and travel in the push-back of each RecoverResp.
-        if let Some(s) = &mut self.session {
-            s.set_base_epoch(node, inc);
-            s.forget_node_links(node);
-        }
-        self.out_batches[i] = OutBatch::default();
-        self.shard_out[i].clear();
-        self.link_clock_out.retain(|&(f, _), _| f != node);
-        self.link_clock_in.retain(|&(_, t), _| t != node);
-        // Fetch the missing delta: a raw (never sessioned) request to
-        // every peer replica. Sharded recovery ships the per-shard
-        // applied summary instead of the global vector — peers answer
-        // only for the shards they share, so the reborn replica
-        // re-fetches exactly its subscribed state.
-        if self.sharded() {
-            let summary = self.replicas[i].shards().expect("sharded").applied_summary();
-            for j in 0..self.cfg.nprocs as u32 {
-                if j == node.0 {
-                    continue;
-                }
-                let msg =
-                    Msg::ShardRecoverReq { proc: p, incarnation: inc, applied: summary.clone() };
-                net.send(node, NodeId(j), msg.kind(), msg.wire_bytes(), msg);
-            }
-            return;
-        }
-        let applied = self.replicas[i].applied.clone();
-        for j in 0..self.cfg.nprocs as u32 {
-            if j == node.0 {
-                continue;
-            }
-            let msg = Msg::RecoverReq { proc: p, incarnation: inc, applied: applied.clone() };
-            net.send(node, NodeId(j), msg.kind(), msg.wire_bytes(), msg);
-        }
+        // The outgoing batches die with the node; a timer still pending
+        // for them was wiped by the kernel.
+        self.flush_armed[node.index()] = false;
+        let (node, mut io) = self.node_io(node, net);
+        node.rebuild(&mut io, snap.as_ref(), records);
     }
 
     /// Staged (appended, unsynced) log records across all disks — the
@@ -1169,702 +386,11 @@ impl Protocol for Dsm {
     }
 }
 
-impl Dsm {
-    /// Delivers one unwrapped protocol message (the pre-session
-    /// `on_message` body).
-    fn dispatch(&mut self, to: NodeId, from: NodeId, msg: Msg, net: &mut NetCtx<'_, Msg>) {
-        if self.cfg.is_manager_node(to) {
-            let shard = to.index() - self.cfg.nprocs;
-            let manager = &mut self.managers[shard];
-            let out = match msg {
-                Msg::LockReq { proc, lock, mode } => {
-                    manager.lock_request(proc, lock, mode, &self.cfg)
-                }
-                Msg::LockRel { proc, lock, knowledge, own_count, dirty, .. } => {
-                    manager.lock_release(proc, lock, knowledge, own_count, dirty, &self.cfg)
-                }
-                Msg::BarrierArrive { proc, barrier, round, knowledge } => {
-                    manager.barrier_arrive(proc, barrier, round, knowledge, &self.cfg)
-                }
-                Msg::ScRead { proc, loc } => manager.sc_read(proc, loc),
-                Msg::ScWrite { writer, loc, payload } => manager.sc_write(writer, loc, payload),
-                Msg::ScAwait { proc, loc, value } => manager.sc_await(proc, loc, value),
-                Msg::SubReq { proc, shard } => manager.sub_req(proc, shard, &self.cfg),
-                other => panic!("manager received unexpected {other:?}"),
-            };
-            self.deliver_outbox(net, to, out);
-            return;
-        }
-
-        let i = to.index();
-        match msg {
-            Msg::Update { writer, loc, payload, deps } => {
-                // Recovery can re-deliver an update the disk already
-                // holds (an in-flight pre-crash copy racing the fresh
-                // epoch): drop it by sequence. Without durability,
-                // duplicate chaos stays visible to the checkers.
-                if self.cfg.durability.is_some()
-                    && writer.seq <= self.replicas[i].applied[writer.proc]
-                {
-                    return;
-                }
-                if self.cfg.durability.is_some() {
-                    let rec = WalRecord::Ingest {
-                        writer,
-                        loc,
-                        payload: payload.clone(),
-                        deps: deps.clone(),
-                    };
-                    self.wal_append(ProcId(to.0), &rec, net);
-                    self.maybe_snapshot(ProcId(to.0), net);
-                }
-                let applied = self.replicas[i].ingest(writer, loc, payload, deps, self.cfg.mode);
-                if applied {
-                    self.drain_flush_waiters(to, net);
-                }
-            }
-            Msg::UpdateBatch { proc, first_seq, upto, entries, delta, ack } => {
-                // A piggybacked ack covers the reverse link, sparing a
-                // standalone SessAck's information (the standalone still
-                // travels; cumulative acks are idempotent). The epoch tag
-                // keeps a pre-crash ack from advancing a reborn sender.
-                if let Some((upto, epoch)) = ack {
-                    if let Some(s) = &mut self.session {
-                        let cfg = s.cfg;
-                        s.sender(to, from).on_ack(upto, epoch, &cfg);
-                    }
-                }
-                // Reconstruct the full dependency clock from the
-                // per-link delta against this link's shadow copy. This
-                // happens before the recovery-ghost check: any batch
-                // that reaches dispatch belongs to the link's current
-                // epoch chain (stale-epoch traffic dies in the session
-                // receiver, pre-crash in-flight dies with the crash), so
-                // even a ghost's delta must advance the shadow to keep
-                // it in lock-step with the sender's.
-                let deps = delta.map(|dv| {
-                    let prev = self
-                        .link_clock_in
-                        .entry((from, to))
-                        .or_insert_with(|| VClock::new(self.cfg.nprocs));
-                    for (q, c) in dv {
-                        prev.set(q, c);
-                    }
-                    prev.clone()
-                });
-                // Recovery ghost: the batch's content is already on disk
-                // (or covered by a RecoverResp) — the replica must not
-                // re-apply it and the WAL must not re-log it. Batch
-                // windows from one writer never partially overlap, so a
-                // whole-batch skip is exact.
-                if self.cfg.durability.is_some() && upto <= self.replicas[i].applied[proc] {
-                    return;
-                }
-                if self.cfg.durability.is_some() {
-                    let rec = WalRecord::IngestBatch {
-                        proc,
-                        first_seq,
-                        upto,
-                        entries: entries.to_vec(),
-                        deps: deps.clone(),
-                    };
-                    self.wal_append(ProcId(to.0), &rec, net);
-                    self.maybe_snapshot(ProcId(to.0), net);
-                }
-                let applied = self.replicas[i].ingest_batch(
-                    proc,
-                    first_seq,
-                    upto,
-                    entries,
-                    deps,
-                    self.cfg.mode,
-                );
-                if applied {
-                    self.drain_flush_waiters(to, net);
-                }
-            }
-            Msg::RecoverReq { proc: reborn, incarnation, applied } => {
-                debug_assert_eq!(Self::proc_node(reborn), from, "requests come from the reborn");
-                // Dedup: the request travels raw (a sessioned request
-                // would need the very link state the crash destroyed),
-                // so the network may duplicate it.
-                let handled = self.recover_seen.entry((to, reborn)).or_insert(0);
-                if incarnation <= *handled {
-                    return;
-                }
-                *handled = incarnation;
-                let p = ProcId(to.0);
-                // Writes still coalescing in the out-batch are already
-                // in our durable history; flush so the recovery delta
-                // and the shadow clocks agree on what has been sent.
-                self.flush_updates(p, net);
-                // Reset the session link toward the reborn node.
-                // Update-class payloads are dropped rather than
-                // re-wrapped: their content (with full dependency
-                // vectors) travels in the RecoverResp below, and their
-                // deltas reference shadow clocks about to be cleared.
-                if let Some(s) = &mut self.session {
-                    let wire = s.reset_sender_with(to, from, |m| {
-                        !matches!(
-                            m,
-                            Msg::Update { .. } | Msg::UpdateBatch { .. } | Msg::RecoverResp { .. }
-                        )
-                    });
-                    let resend = !wire.is_empty();
-                    for m in wire {
-                        net.send(to, from, "retransmit", m.wire_bytes(), m);
-                    }
-                    if resend {
-                        let tx = s.sender(to, from);
-                        if !tx.timer_armed {
-                            tx.timer_armed = true;
-                            let rto = tx.rto();
-                            net.set_timer(to, rto, session::link_token(to, from));
-                        }
-                    }
-                }
-                self.link_clock_out.remove(&(to, from));
-                self.link_clock_in.remove(&(from, to));
-                // Answer with the suffix of our own writes the reborn
-                // replica is missing — full dependency vectors, no link
-                // delta — plus how much of *its* history we hold, so it
-                // can push back its own suffix.
-                self.recover_pushed.remove(&(to, from));
-                let r = &self.replicas[i];
-                let after = applied[p];
-                let seen = r.applied[reborn];
-                // One response per dependency-homogeneous chunk: a
-                // single batch gated on its last member's vector
-                // deadlocks when two survivors' deltas cross-reference
-                // each other's writes (see `Replica::delta_chunks`).
-                let chunks = r.delta_chunks(after);
-                if chunks.is_empty() {
-                    let resp = Msg::RecoverResp {
-                        proc: p,
-                        first_seq: after + 1,
-                        upto: after,
-                        entries: Vec::new(),
-                        deps: None,
-                        seen,
-                    };
-                    self.send(net, to, from, resp);
-                } else {
-                    for (first_seq, upto, entries, deps) in chunks {
-                        let resp =
-                            Msg::RecoverResp { proc: p, first_seq, upto, entries, deps, seen };
-                        self.send(net, to, from, resp);
-                    }
-                }
-            }
-            Msg::RecoverResp { proc, first_seq, upto, entries, deps, seen } => {
-                let p = ProcId(to.0);
-                // Continuity guard: a duplicated response (or one raced
-                // by an in-flight pre-crash copy) re-covers applied
-                // prefix — skip it rather than double-ingest.
-                if upto >= first_seq && first_seq > self.replicas[i].applied[proc] {
-                    if self.cfg.durability.is_some() {
-                        let rec = WalRecord::IngestBatch {
-                            proc,
-                            first_seq,
-                            upto,
-                            entries: entries.clone(),
-                            deps: deps.clone(),
-                        };
-                        self.wal_append(p, &rec, net);
-                        self.maybe_snapshot(p, net);
-                    }
-                    let applied = self.replicas[i].ingest_batch(
-                        proc,
-                        first_seq,
-                        upto,
-                        entries.into(),
-                        deps,
-                        self.cfg.mode,
-                    );
-                    if applied {
-                        self.drain_flush_waiters(to, net);
-                    }
-                }
-                // Push back our own suffix the responder has not seen,
-                // as plain batches chunked at dependency boundaries: the
-                // shadow clocks for this link were cleared on both
-                // sides, so the first delta degenerates to the full
-                // vector. High-watered — one RecoverResp arrives per
-                // chunk and each repeats `seen`, so the suffix must be
-                // pushed exactly once.
-                let pushed = self.recover_pushed.get(&(to, from)).copied().unwrap_or(0);
-                let chunks = self.replicas[i].delta_chunks(seen.max(pushed));
-                if let Some(&(_, last_upto, _, _)) = chunks.last() {
-                    self.recover_pushed.insert((to, from), last_upto);
-                }
-                for (fs, u, es, d) in chunks {
-                    let delta = d.as_ref().map(|deps| self.batch_delta(to, from, deps));
-                    let msg = Msg::UpdateBatch {
-                        proc: p,
-                        first_seq: fs,
-                        upto: u,
-                        entries: es.into(),
-                        delta,
-                        ack: None,
-                    };
-                    self.send(net, to, from, msg);
-                }
-            }
-            Msg::Flush { from_proc, upto } => {
-                if self.replicas[i].applied[from_proc] >= upto {
-                    self.send(net, to, Self::proc_node(from_proc), Msg::FlushAck);
-                } else {
-                    self.flush_waiters[i].push((from_proc, upto));
-                }
-            }
-            Msg::FlushAck => {
-                self.flush_acks[i] += 1;
-            }
-            Msg::LockGrant { lock, grant } => {
-                self.granted[i].insert(lock, grant);
-            }
-            Msg::BarrierRelease { barrier, round, knowledge } => {
-                self.barrier_released[i].insert((barrier, round), knowledge);
-            }
-            Msg::ScReadResp { value, writer } => {
-                self.sc_resp[i] = Some(Resp::Value { value, writer });
-            }
-            Msg::ScWriteAck => {
-                let id = self.sc_pending_write[i].take().expect("pending SC write");
-                self.sc_resp[i] = Some(Resp::Wrote { id });
-            }
-            Msg::ScAwaitResp { value, writers } => {
-                self.sc_resp[i] = Some(Resp::Awaited { value, writers });
-            }
-            Msg::ShardUpdate { writer, loc, payload, prev, deps } => {
-                let p = ProcId(to.0);
-                let shard = self.replicas[i].shards().expect("sharded").shard_of(loc);
-                // Recovery ghost: content already on disk (or covered by
-                // a ShardRecoverResp) — skip the re-log and re-apply.
-                if self.cfg.durability.is_some() {
-                    let have =
-                        self.replicas[i].shards().expect("sharded").applied(shard).get(writer.proc);
-                    if writer.seq <= have {
-                        return;
-                    }
-                    let rec = WalRecord::IngestSharded {
-                        writer,
-                        loc,
-                        payload: payload.clone(),
-                        prev,
-                        deps: deps.clone(),
-                    };
-                    self.wal_append(p, &rec, net);
-                }
-                self.replicas[i].ingest_sharded(writer, loc, payload, prev, deps, self.cfg.mode);
-            }
-            Msg::ShardUpdateBatch { proc, shard, prev, upto, entries, deps } => {
-                let p = ProcId(to.0);
-                if self.cfg.durability.is_some() {
-                    let have = self.replicas[i]
-                        .shards()
-                        .expect("sharded")
-                        .applied(shard as usize)
-                        .get(proc);
-                    if upto <= have {
-                        return;
-                    }
-                    let rec = WalRecord::IngestShardChain {
-                        proc,
-                        shard,
-                        prev,
-                        upto,
-                        entries: entries.to_vec(),
-                        deps: deps.clone(),
-                        trim: false,
-                    };
-                    self.wal_append(p, &rec, net);
-                }
-                self.replicas[i].ingest_shard_chain(
-                    proc,
-                    shard,
-                    prev,
-                    upto,
-                    entries,
-                    deps,
-                    self.cfg.mode,
-                    false,
-                );
-            }
-            Msg::SubAck { shard, subs } => {
-                let p = ProcId(to.0);
-                // Persist the subscription before any access can depend
-                // on it: replay must filter dependency triples with the
-                // same interest set the replica had live.
-                if self.replicas[i].shard_subscribe(shard as usize) && self.cfg.durability.is_some()
-                {
-                    let rec = WalRecord::Subscribe { shard };
-                    self.wal_append(p, &rec, net);
-                    self.wal_sync(p, net);
-                }
-                for q in subs {
-                    self.add_shard_route(to, shard, q);
-                }
-                // The first-touch request retries via poll_blocked.
-            }
-            Msg::SubNotify { shard, proc } => {
-                // A new subscriber joined: route future updates to it
-                // and push our own write suffix for the shard directly,
-                // so the join window closes without third-party state.
-                // One update per write — an atomic chain can deadlock
-                // against another parked chain whose dependency triples
-                // point back into this shard.
-                self.add_shard_route(to, shard, proc);
-                for (writer, loc, payload, prev, deps) in
-                    self.replicas[i].shard_updates_after(&[(shard, 0)])
-                {
-                    let msg = Msg::ShardUpdate { writer, loc, payload, prev, deps };
-                    self.send(net, to, Self::proc_node(proc), msg);
-                }
-            }
-            Msg::ShardRecoverReq { proc: reborn, incarnation, applied } => {
-                debug_assert_eq!(Self::proc_node(reborn), from, "requests come from the reborn");
-                let handled = self.recover_seen.entry((to, reborn)).or_insert(0);
-                if incarnation <= *handled {
-                    return;
-                }
-                *handled = incarnation;
-                let p = ProcId(to.0);
-                // Buffered shard batches are already in our durable own
-                // chains; flush so the recovery delta covers them.
-                self.flush_updates(p, net);
-                // Reset the session link toward the reborn node,
-                // dropping sharded update-class payloads: their content
-                // travels in the per-shard answers below.
-                if let Some(s) = &mut self.session {
-                    let wire = s.reset_sender_with(to, from, |m| {
-                        !matches!(
-                            m,
-                            Msg::ShardUpdate { .. }
-                                | Msg::ShardUpdateBatch { .. }
-                                | Msg::ShardRecoverResp { .. }
-                        )
-                    });
-                    let resend = !wire.is_empty();
-                    for m in wire {
-                        net.send(to, from, "retransmit", m.wire_bytes(), m);
-                    }
-                    if resend {
-                        let tx = s.sender(to, from);
-                        if !tx.timer_armed {
-                            tx.timer_armed = true;
-                            let rto = tx.rto();
-                            net.set_timer(to, rto, session::link_token(to, from));
-                        }
-                    }
-                }
-                // Answer once per shard we share. The triples' shard ids
-                // double as the reborn's subscription set (zeros kept),
-                // so this also re-learns a dynamic subscriber's routes.
-                // Each answer carries only the watermark metadata (the
-                // push-back trigger); the write suffix itself follows as
-                // individual ShardUpdates interleaved across shards in
-                // global sequence order — per-shard atomic chains with
-                // mutual cross-shard triples would park against each
-                // other forever on a reborn replica that lost both.
-                let mut shards: Vec<u32> = applied.iter().map(|&(s, _, _)| s).collect();
-                shards.dedup();
-                let mut wants = Vec::new();
-                for s in shards {
-                    if !self.replicas[i].shards().expect("sharded").subscribed(s as usize) {
-                        continue;
-                    }
-                    self.add_shard_route(to, s, reborn);
-                    let after = applied
-                        .iter()
-                        .find(|&&(ds, q, _)| ds == s && q == p)
-                        .map_or(0, |&(_, _, c)| c);
-                    let seen =
-                        self.replicas[i].shards().expect("sharded").applied(s as usize).get(reborn);
-                    let msg = Msg::ShardRecoverResp {
-                        proc: p,
-                        shard: s,
-                        prev: after,
-                        upto: after,
-                        entries: Vec::new(),
-                        deps: Vec::new(),
-                        seen,
-                    };
-                    self.send(net, to, from, msg);
-                    wants.push((s, after));
-                }
-                for (writer, loc, payload, prev, deps) in
-                    self.replicas[i].shard_updates_after(&wants)
-                {
-                    let msg = Msg::ShardUpdate { writer, loc, payload, prev, deps };
-                    self.send(net, to, from, msg);
-                }
-            }
-            Msg::ShardRecoverResp { proc, shard, prev, upto, entries, deps, seen } => {
-                let p = ProcId(to.0);
-                // The responder subscribes to the shard, or it would not
-                // answer for it — merge the route (recovery re-learning,
-                // and the join-backfill path where it is already known).
-                self.add_shard_route(to, shard, proc);
-                let have =
-                    self.replicas[i].shards().expect("sharded").applied(shard as usize).get(proc);
-                if upto > have {
-                    if self.cfg.durability.is_some() {
-                        let rec = WalRecord::IngestShardChain {
-                            proc,
-                            shard,
-                            prev,
-                            upto,
-                            entries: entries.clone(),
-                            deps: deps.clone(),
-                            trim: true,
-                        };
-                        self.wal_append(p, &rec, net);
-                    }
-                    self.replicas[i].ingest_shard_chain(
-                        proc,
-                        shard,
-                        prev,
-                        upto,
-                        entries.into(),
-                        deps,
-                        self.cfg.mode,
-                        true,
-                    );
-                }
-                // Push back our own suffix the responder has not seen,
-                // one update per write for the same acyclicity reason
-                // as the recovery answers themselves.
-                for (writer, loc, payload, prev, deps) in
-                    self.replicas[i].shard_updates_after(&[(shard, seen)])
-                {
-                    let msg = Msg::ShardUpdate { writer, loc, payload, prev, deps };
-                    self.send(net, to, Self::proc_node(proc), msg);
-                }
-            }
-            other => {
-                let _ = from;
-                panic!("replica received unexpected {other:?}")
-            }
-        }
-    }
-
-    fn poll_blocked_inner(&mut self, proc: ProcToken, net: &mut NetCtx<'_, Msg>) -> Option<Resp> {
-        let p = ProcId(proc.0);
-        let i = p.index();
-        let blocked = self.blocked[i].clone()?;
-        let resp = match blocked {
-            Blocked::Read { loc, label } => self.read_ready(p, loc, label, net),
-            Blocked::Await { loc, value } => self.await_ready(p, loc, value, net),
-            Blocked::Sc => self.sc_resp[i].take(),
-            Blocked::Lock { lock, mode } => {
-                let grant_ready = match self.granted[i].get(&lock) {
-                    None => false,
-                    // In SC mode the data lives at the server; grants
-                    // never gate on replica state.
-                    Some(_) if !self.cfg.mode.is_replicated() => true,
-                    Some(g) => match self.cfg.lock_propagation {
-                        LockPropagation::Eager | LockPropagation::DemandDriven => true,
-                        LockPropagation::Lazy => {
-                            let r = &self.replicas[i];
-                            if g.knowledge.is_empty() {
-                                g.preds.iter().all(|&(q, c)| r.applied[q] >= c)
-                            } else {
-                                r.applied.dominates(&g.knowledge)
-                            }
-                        }
-                    },
-                };
-                if grant_ready {
-                    let g = self.granted[i].remove(&lock).expect("checked");
-                    if self.cfg.lock_propagation == LockPropagation::DemandDriven {
-                        self.replicas[i].absorb_demand(&g.demand);
-                    } else {
-                        self.replicas[i].absorb_sync(&g.knowledge, &g.preds);
-                    }
-                    self.held[i].insert(lock, mode);
-                    Some(Resp::Done)
-                } else {
-                    None
-                }
-            }
-            Blocked::UnlockFlush { lock } => {
-                if self.flush_acks[i] == self.cfg.nprocs - 1 {
-                    self.flush_acks[i] = 0;
-                    self.finish_release(p, lock, net);
-                    Some(Resp::Done)
-                } else {
-                    None
-                }
-            }
-            Blocked::Barrier { barrier, round } => {
-                match self.barrier_released[i].remove(&(barrier, round)) {
-                    None => None,
-                    Some(k) => {
-                        let r = &mut self.replicas[i];
-                        if !k.is_empty() {
-                            if self.cfg.mode.carries_vectors() {
-                                r.must_see.merge(&k);
-                            }
-                            r.pram_wait.merge(&k);
-                        }
-                        Some(Resp::BarrierPassed { round })
-                    }
-                }
-            }
-            Blocked::Subscribe { shard, retry } => {
-                let subbed =
-                    self.replicas[i].shards().is_some_and(|st| st.subscribed(shard as usize));
-                if !subbed {
-                    None
-                } else {
-                    // Subscribed: retry the stashed first-touch request.
-                    // The retry may park again on its own account (an
-                    // await, a not-yet-ready read) — it cannot re-enter
-                    // the subscribe gate for this shard.
-                    self.blocked[i] = None;
-                    match *retry {
-                        Req::Read { loc, label } => {
-                            let label = self.effective_label(p, label);
-                            match self.read_ready(p, loc, label, net) {
-                                Some(r) => Some(r),
-                                None => {
-                                    self.blocked[i] = Some(Blocked::Read { loc, label });
-                                    None
-                                }
-                            }
-                        }
-                        Req::Write { loc, value } => {
-                            match self.do_write(
-                                p,
-                                Self::proc_node(p),
-                                loc,
-                                UpdatePayload::Set(value),
-                                net,
-                            ) {
-                                Poll::Ready(r) => Some(r),
-                                Poll::Pending => None,
-                            }
-                        }
-                        Req::Update { loc, delta } => {
-                            match self.do_write(
-                                p,
-                                Self::proc_node(p),
-                                loc,
-                                UpdatePayload::Add(delta),
-                                net,
-                            ) {
-                                Poll::Ready(r) => Some(r),
-                                Poll::Pending => None,
-                            }
-                        }
-                        Req::Await { loc, value } => match self.await_ready(p, loc, value, net) {
-                            Some(r) => Some(r),
-                            None => {
-                                self.flush_updates(p, net);
-                                self.blocked[i] = Some(Blocked::Await { loc, value });
-                                None
-                            }
-                        },
-                        other => unreachable!("subscribe gate stashed {other:?}"),
-                    }
-                }
-            }
-        };
-        if resp.is_some() {
-            self.blocked[i] = None;
-        }
-        resp
-    }
-}
-
-impl Dsm {
-    fn do_write(
-        &mut self,
-        p: ProcId,
-        node: NodeId,
-        loc: Loc,
-        payload: UpdatePayload,
-        net: &mut NetCtx<'_, Msg>,
-    ) -> Poll<Resp> {
-        if self.cfg.mode == Mode::Sc {
-            let r = &mut self.replicas[p.index()];
-            r.applied.tick(p);
-            let id = WriteId::new(p, r.applied[p]);
-            self.sc_pending_write[p.index()] = Some(id);
-            self.send(net, node, self.manager_node(), Msg::ScWrite { writer: id, loc, payload });
-            self.blocked[p.index()] = Some(Blocked::Sc);
-            return Poll::Pending;
-        }
-        if self.sharded() {
-            let req = match payload {
-                UpdatePayload::Set(value) => Req::Write { loc, value },
-                UpdatePayload::Add(delta) => Req::Update { loc, delta },
-            };
-            if !self.shard_gate(p, node, loc, &req, net) {
-                return Poll::Pending;
-            }
-            return self.do_sharded_write(p, loc, payload, net);
-        }
-        let (id, deps) = self.replicas[p.index()].local_write(loc, payload.clone(), &self.cfg);
-        if let Some(policy) = self.cfg.durability {
-            // Append-before-ack: the write's log record is staged
-            // before `Wrote` reaches the program. Per-write policies
-            // fsync here; group commit defers to the next outgoing
-            // message ([`Dsm::send`]) or observation
-            // ([`Dsm::observe_sync`]), amortizing one sync over every
-            // record staged since the last.
-            let rec = WalRecord::OwnWrite { loc, payload: payload.clone(), deps: deps.clone() };
-            self.wal_append(p, &rec, net);
-            if !policy.group_commit {
-                self.wal_sync(p, net);
-            }
-            self.maybe_snapshot(p, net);
-        }
-        if self.cfg.batch.is_some() {
-            self.buffer_write(p, loc, payload, id, deps, net);
-        } else {
-            let msg = Msg::Update { writer: id, loc, payload, deps };
-            self.broadcast_update(net, p, msg);
-        }
-        // The local apply may satisfy pending flush probes.
-        self.drain_flush_waiters(node, net);
-        Poll::Ready(Resp::Wrote { id })
-    }
-
-    /// The sharded write path: mint through the per-shard chain, log,
-    /// and multicast (or buffer) to the shard's subscribers only.
-    fn do_sharded_write(
-        &mut self,
-        p: ProcId,
-        loc: Loc,
-        payload: UpdatePayload,
-        net: &mut NetCtx<'_, Msg>,
-    ) -> Poll<Resp> {
-        let (id, prev, deps) =
-            self.replicas[p.index()].sharded_write(loc, payload.clone(), &self.cfg);
-        if let Some(policy) = self.cfg.durability {
-            let rec =
-                WalRecord::OwnWriteSharded { loc, payload: payload.clone(), deps: deps.clone() };
-            self.wal_append(p, &rec, net);
-            if !policy.group_commit {
-                self.wal_sync(p, net);
-            }
-        }
-        if self.cfg.batch.is_some() {
-            self.buffer_shard_write(p, loc, payload, id, prev, deps, net);
-        } else {
-            let shard = self.cfg.sharding.as_ref().expect("sharded").shard_of(loc) as u32;
-            let msg = Msg::ShardUpdate { writer: id, loc, payload, prev, deps };
-            self.multicast_shard(net, p, shard, msg);
-        }
-        Poll::Ready(Resp::Wrote { id })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{LockPropagation, Mode};
+    use mc_model::{BarrierId, LockId, LockMode, ReadLabel};
     use mc_sim::{Kernel, SimConfig};
     use std::sync::{Arc, Mutex};
 

@@ -31,6 +31,7 @@ pub mod dsm;
 pub mod durability;
 pub mod manager;
 pub mod msg;
+pub mod node;
 pub mod replica;
 pub mod session;
 pub mod wire;
@@ -43,6 +44,7 @@ pub use durability::{
 };
 pub use manager::Manager;
 pub use msg::{BatchEntry, GrantInfo, Msg, UpdatePayload};
+pub use node::{NodeIo, ProcNode};
 pub use replica::{Replica, ShardState};
 pub use session::{LinkReceiver, LinkSender, Session, SessionConfig};
 pub use wire::{

@@ -75,6 +75,29 @@ impl Manager {
         }
     }
 
+    /// Handles one request addressed to a manager node — the single
+    /// dispatch every executor uses.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a message no manager accepts.
+    pub fn handle(&mut self, msg: Msg, cfg: &DsmConfig) -> Outbox {
+        match msg {
+            Msg::LockReq { proc, lock, mode } => self.lock_request(proc, lock, mode, cfg),
+            Msg::LockRel { proc, lock, knowledge, own_count, dirty, .. } => {
+                self.lock_release(proc, lock, knowledge, own_count, dirty, cfg)
+            }
+            Msg::BarrierArrive { proc, barrier, round, knowledge } => {
+                self.barrier_arrive(proc, barrier, round, knowledge, cfg)
+            }
+            Msg::ScRead { proc, loc } => self.sc_read(proc, loc),
+            Msg::ScWrite { writer, loc, payload } => self.sc_write(writer, loc, payload),
+            Msg::ScAwait { proc, loc, value } => self.sc_await(proc, loc, value),
+            Msg::SubReq { proc, shard } => self.sub_req(proc, shard, cfg),
+            other => panic!("manager received unexpected {other:?}"),
+        }
+    }
+
     // -------------------------------------------------------------- directory
 
     /// Handles a dynamic shard subscription request (first-touch

@@ -476,11 +476,7 @@ impl Replica {
     /// Applies every causally ready buffered update or batch (each can
     /// unblock the other); returns `true` if any applied.
     fn drain_pending(&mut self) -> bool {
-        // Prune ghosts first: a buffered update or batch fully covered
-        // by the applied watermark (recovery re-delivered it) can never
-        // become ready and would otherwise sit buffered forever.
-        self.pending.retain(|u| u.writer.seq > self.applied[u.writer.proc]);
-        self.pending_batches.retain(|b| b.upto > self.applied[b.proc]);
+        self.prune_ghosts();
         let mut any = false;
         loop {
             if let Some(idx) = self.pending.iter().position(|u| self.causally_ready(u)) {
@@ -509,8 +505,19 @@ impl Replica {
                 any = true;
                 continue;
             }
+            // An entry this drain itself covered (a recovery chunk
+            // overtaking a buffered batch) is a ghost now too.
+            self.prune_ghosts();
             return any;
         }
+    }
+
+    /// Drops buffered updates and batches fully covered by the applied
+    /// watermark (recovery re-delivered them): they can never become
+    /// ready and would otherwise sit buffered forever.
+    fn prune_ghosts(&mut self) {
+        self.pending.retain(|u| u.writer.seq > self.applied[u.writer.proc]);
+        self.pending_batches.retain(|b| b.upto > self.applied[b.proc]);
     }
 
     /// Applies one coalesced batch entry: `Set` installs the surviving
@@ -1429,6 +1436,31 @@ mod tests {
         assert_eq!(r.pending_len(), 0);
         assert_eq!(r.applied[p(0)], 3);
         assert_eq!(r.value(Loc(0)), Value::Int(3));
+    }
+
+    #[test]
+    fn recovery_chunk_covering_a_buffered_batch_leaves_no_ghost() {
+        let mut r = Replica::new(p(2), 3);
+        let set = |seq: u32, v: i64| BatchEntry {
+            loc: Loc(0),
+            payload: UpdatePayload::Set(Value::Int(v)),
+            writer: WriteId::new(p(0), seq),
+            adds: vec![],
+        };
+        let deps = |c: u32| {
+            let mut d = VClock::new(3);
+            d.set(p(0), c);
+            d
+        };
+        // A pre-crash batch of p0's writes 3..=4 arrives early: buffered.
+        assert!(!r.ingest_batch(p(0), 3, 4, vec![set(4, 4)].into(), Some(deps(4)), Mode::Causal));
+        assert_eq!(r.pending_len(), 1);
+        // A recovery chunk covering 1..=4 applies in the same drain that
+        // turns the buffered batch into a ghost.
+        assert!(r.ingest_batch(p(0), 1, 4, vec![set(4, 4)].into(), Some(deps(4)), Mode::Causal));
+        assert_eq!(r.applied[p(0)], 4);
+        assert_eq!(r.value(Loc(0)), Value::Int(4));
+        assert_eq!(r.pending_len(), 0, "a covered batch must not stay buffered");
     }
 
     #[test]

@@ -118,7 +118,14 @@ impl LinkSender {
         if epoch != self.epoch {
             return;
         }
-        self.unacked.retain(|&seq, _| seq > upto);
+        // Pop the acknowledged prefix: O(newly acked), not a scan of
+        // the whole window.
+        while let Some(entry) = self.unacked.first_entry() {
+            if *entry.key() > upto {
+                break;
+            }
+            entry.remove();
+        }
         if upto > self.acked_upto {
             self.acked_upto = upto;
             self.rto = cfg.initial_rto;
