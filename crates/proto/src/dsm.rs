@@ -20,7 +20,7 @@ use crate::msg::{Msg, UpdatePayload};
 use crate::node::{NodeIo, ProcNode};
 pub use crate::node::{Req, Resp};
 use crate::replica::Replica;
-use crate::session::{self, Session, SessionConfig};
+use crate::session::{self, LinkSender, Session, SessionConfig};
 
 /// Timer-token namespace bit for batch flush timers. Session link
 /// tokens pack two 32-bit node ids, so their bit 63 is always clear;
@@ -96,16 +96,22 @@ fn sim_send(
             let kind = msg.kind();
             let tx = s.sender(from, to);
             let wrapped = tx.wrap(msg);
-            if !tx.timer_armed {
-                tx.timer_armed = true;
-                let rto = tx.rto();
-                net.set_timer(from, rto, session::link_token(from, to));
-            }
+            arm_link_timer(net, tx, from, to);
             net.send(from, to, kind, wrapped.wire_bytes(), wrapped);
         }
     }
     if let Some((key, v)) = annotation {
         net.trace_annotate(key, v);
+    }
+}
+
+/// Arms the retransmission timer of the link `from → to` unless one is
+/// already pending (timers cannot be cancelled; an expiry with nothing
+/// unacknowledged lets the timer lapse).
+fn arm_link_timer(net: &mut NetCtx<'_, Msg>, tx: &mut LinkSender, from: NodeId, to: NodeId) {
+    if !tx.timer_armed {
+        tx.timer_armed = true;
+        net.set_timer(from, tx.rto(), session::link_token(from, to));
     }
 }
 
@@ -137,11 +143,7 @@ impl NodeIo for SimIo<'_, '_> {
             self.net.send(self.node, to, "retransmit", m.wire_bytes(), m);
         }
         let tx = self.session.as_mut().expect("resend without session layer").sender(self.node, to);
-        if !tx.timer_armed {
-            tx.timer_armed = true;
-            let rto = tx.rto();
-            self.net.set_timer(self.node, rto, session::link_token(self.node, to));
-        }
+        arm_link_timer(self.net, tx, self.node, to);
     }
 
     fn session(&mut self) -> Option<&mut Session> {
