@@ -1,28 +1,35 @@
 //! Vendored offline subset of the `tokio` runtime API: a multi-threaded
-//! task executor, timer-driven socket readiness, async TCP, bounded
-//! mpsc channels, and sleeps — just enough to run `mc-net`'s transport
-//! tasks without registry access.
+//! task executor, an epoll readiness reactor, async TCP, bounded mpsc
+//! channels, and sleeps — just enough to run `mc-net`'s transport tasks
+//! without registry access.
 //!
 //! Differences from upstream (deliberate, to keep the subset small):
 //!
-//! - Socket readiness is retry-driven, not epoll-driven: an I/O future
-//!   that hits `WouldBlock` re-arms itself on the timer wheel a few
-//!   tens of microseconds out. Loopback throughput is unaffected (each
-//!   retry drains everything available); only the idle-to-busy wakeup
-//!   pays the retry granularity.
+//! - Linux only. Socket readiness comes from one process-wide epoll
+//!   instance (raw `extern "C"` calls; `std` already links libc) and one
+//!   reactor thread blocked in `epoll_wait`. An I/O future that hits
+//!   `WouldBlock` parks its waker on the fd and re-arms level-triggered
+//!   one-shot interest; the reactor wakes it when the kernel reports the
+//!   fd ready, hung up or in error.
 //! - `TcpStream` exposes inherent `async fn read`/`write_all` methods
 //!   instead of the `AsyncRead`/`AsyncWrite` traits.
-//! - No I/O driver shutdown: the timer thread is a process-wide
-//!   singleton that parks when idle.
+//! - The timer thread serves only `time::sleep`. It and the reactor are
+//!   process-wide singletons that park when idle; neither shuts down.
+//! - Dropping a `Runtime` joins its workers, then drops every task that
+//!   has not completed, parked or queued, which closes the sockets those
+//!   tasks own.
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("this tokio subset drives socket readiness with epoll and builds only on Linux");
 
 pub use task::{spawn, spawn_blocking, JoinError, JoinHandle};
 
 mod exec {
-    use std::collections::VecDeque;
+    use std::collections::{HashMap, VecDeque};
     use std::future::Future;
     use std::pin::Pin;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::{Arc, Condvar, Mutex, Weak};
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+    use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
     use std::task::{Context, Poll, Wake, Waker};
 
     type BoxFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
@@ -31,9 +38,16 @@ mod exec {
         queue: Mutex<VecDeque<Arc<Task>>>,
         cv: Condvar,
         shutdown: AtomicBool,
+        /// Every spawned task that has not completed, by id — parked or
+        /// queued. Shutdown drops what is left here: a parked task's
+        /// waker may never fire again, and the task's own `Handle`
+        /// clone would otherwise keep it and its sockets alive.
+        live: Mutex<HashMap<u64, Arc<Task>>>,
+        next_id: AtomicU64,
     }
 
     pub(crate) struct Task {
+        id: u64,
         exec: Weak<ExecShared>,
         /// `Some` while the task is live; polled under the lock, so a
         /// concurrent wake enqueues a re-poll rather than racing.
@@ -54,17 +68,36 @@ mod exec {
                 queue: Mutex::new(VecDeque::new()),
                 cv: Condvar::new(),
                 shutdown: AtomicBool::new(false),
+                live: Mutex::new(HashMap::new()),
+                next_id: AtomicU64::new(0),
             })
         }
 
+        /// Queues `task` for a poll; after shutdown the wake is dropped
+        /// (outside the lock, since dropping a task can wake others).
         fn push(&self, task: Arc<Task>) {
             let mut q = self.queue.lock().expect("executor queue healthy");
+            if self.shutdown.load(Ordering::SeqCst) {
+                drop(q);
+                drop(task);
+                return;
+            }
             q.push_back(task);
             self.cv.notify_one();
         }
 
         pub(crate) fn spawn_task(self: &Arc<Self>, fut: BoxFuture) {
-            let task = Arc::new(Task { exec: Arc::downgrade(self), fut: Mutex::new(Some(fut)) });
+            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+            let task =
+                Arc::new(Task { id, exec: Arc::downgrade(self), fut: Mutex::new(Some(fut)) });
+            let mut live = self.live.lock().expect("task registry healthy");
+            if self.shutdown.load(Ordering::SeqCst) {
+                // Too late to run: drop the task outside the lock.
+                drop(live);
+                return;
+            }
+            live.insert(id, task.clone());
+            drop(live);
             self.push(task);
         }
 
@@ -88,17 +121,39 @@ mod exec {
                 if let Some(fut) = slot.as_mut() {
                     if fut.as_mut().poll(&mut cx).is_ready() {
                         *slot = None;
+                        drop(slot);
+                        self.live.lock().expect("task registry healthy").remove(&task.id);
                     }
                 }
             }
         }
 
+        /// Stops the workers and drops every queued wake. Queued tasks
+        /// stay registered until [`ExecShared::release_tasks`].
         pub(crate) fn begin_shutdown(&self) {
-            self.shutdown.store(true, Ordering::SeqCst);
+            let queued = {
+                let mut q = self.queue.lock().expect("executor queue healthy");
+                self.shutdown.store(true, Ordering::SeqCst);
+                std::mem::take(&mut *q)
+            };
             self.cv.notify_all();
-            // Drop queued tasks so their resources (sockets, channels)
-            // release promptly.
-            self.queue.lock().expect("executor queue healthy").clear();
+            drop(queued);
+        }
+
+        /// Drops the future of every task that never completed, once the
+        /// workers are joined. Their sockets close (deregistering from
+        /// the reactor on the way) and their `Handle` clones go, which
+        /// breaks the task → handle → executor cycle. Runs from
+        /// `Runtime::drop`, so a poisoned lock is recovered rather than
+        /// panicked on: every update under these locks is a single
+        /// insert, remove or take.
+        pub(crate) fn release_tasks(&self) {
+            let live =
+                std::mem::take(&mut *self.live.lock().unwrap_or_else(PoisonError::into_inner));
+            for task in live.into_values() {
+                let fut = task.fut.lock().unwrap_or_else(PoisonError::into_inner).take();
+                drop(fut);
+            }
         }
     }
 
@@ -137,9 +192,8 @@ mod exec {
 }
 
 mod timer {
-    //! The process-wide timer wheel: wakes registered wakers at (or just
-    //! after) their deadline. Doubles as the socket-readiness retry
-    //! driver.
+    //! The process-wide timer wheel behind `time::sleep`: wakes
+    //! registered wakers at (or just after) their deadline.
 
     use std::sync::{Condvar, Mutex, OnceLock};
     use std::task::Waker;
@@ -205,10 +259,172 @@ mod timer {
         entries.push((Instant::now() + delay, waker));
         shared.cv.notify_one();
     }
+}
 
-    /// The readiness-retry interval for I/O futures that hit
+mod reactor {
+    //! The process-wide readiness reactor: one epoll instance and one
+    //! thread blocked in `epoll_wait`, waking the task parked on each fd
+    //! the kernel reports ready.
+    //!
+    //! A socket future that hits `WouldBlock` calls [`arm`]: it parks
+    //! its waker in the fd's slot and re-arms the fd with level-triggered
+    //! one-shot interest. Arming *after* the failed syscall cannot miss a
+    //! wakeup: readiness that arrived in between is still level-true, so
+    //! the arm fires at once. One slot per fd is enough, because `read`
+    //! and `write_all` take `&mut self` and `accept` is the listener's
+    //! only wait. `EPOLLERR` and `EPOLLHUP` are always reported, so an
+    //! error or hang-up wakes the waiter too.
+
+    use std::collections::HashMap;
+    use std::io;
+    use std::os::fd::RawFd;
+    use std::sync::{Mutex, OnceLock, PoisonError};
+    use std::task::Waker;
+
+    /// `struct epoll_event`, which the kernel packs on x86_64.
+    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
+    #[derive(Clone, Copy)]
+    struct EpollEvent {
+        events: u32,
+        data: u64,
+    }
+
+    // Minimal FFI: libc is not a workspace dependency, but std links it.
+    extern "C" {
+        fn epoll_create1(flags: i32) -> i32;
+        fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
+        fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
+    }
+
+    const EPOLL_CLOEXEC: i32 = 0o2_000_000;
+    const EPOLL_CTL_ADD: i32 = 1;
+    const EPOLL_CTL_DEL: i32 = 2;
+    const EPOLL_CTL_MOD: i32 = 3;
+    const EPOLLIN: u32 = 0x001;
+    const EPOLLOUT: u32 = 0x004;
+    const EPOLLONESHOT: u32 = 1 << 30;
+    const ENOENT: i32 = 2;
+    /// Events taken per `epoll_wait`.
+    const BATCH: usize = 64;
+
+    /// The readiness a parked future waits for.
+    #[derive(Clone, Copy)]
+    pub(crate) enum Interest {
+        Read,
+        Write,
+    }
+
+    struct Reactor {
+        epfd: RawFd,
+        /// One entry per fd in the epoll set, holding the waker parked on
+        /// it, if any. The lock is held across `epoll_ctl`, so the map and
+        /// the kernel's interest list change together.
+        slots: Mutex<HashMap<RawFd, Option<Waker>>>,
+    }
+
+    static REACTOR: OnceLock<&'static Reactor> = OnceLock::new();
+
+    fn reactor() -> &'static Reactor {
+        REACTOR.get_or_init(|| {
+            // SAFETY: no pointer arguments; the result is checked.
+            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+            assert!(epfd >= 0, "epoll_create1: {}", io::Error::last_os_error());
+            let reactor: &'static Reactor =
+                Box::leak(Box::new(Reactor { epfd, slots: Mutex::new(HashMap::new()) }));
+            std::thread::Builder::new()
+                .name("tokio-compat-reactor".into())
+                .spawn(move || reactor.run())
+                .expect("spawn reactor thread");
+            reactor
+        })
+    }
+
+    fn ctl(epfd: RawFd, op: i32, fd: RawFd, event: &mut EpollEvent) -> io::Result<()> {
+        // SAFETY: `event` is a live, writable `epoll_event` for the call's
+        // duration; a bad fd or op is reported through the return value.
+        if unsafe { epoll_ctl(epfd, op, fd, event) } < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
+
+    impl Reactor {
+        /// The reactor thread. Steady state allocates nothing: the event
+        /// array and the vector of wakers to wake are reused.
+        fn run(&self) {
+            let mut events = [EpollEvent { events: 0, data: 0 }; BATCH];
+            let mut ready: Vec<Waker> = Vec::with_capacity(BATCH);
+            loop {
+                // SAFETY: `events` is a live buffer of `BATCH` entries.
+                let n = unsafe { epoll_wait(self.epfd, events.as_mut_ptr(), BATCH as i32, -1) };
+                let Ok(n) = usize::try_from(n) else {
+                    let e = io::Error::last_os_error();
+                    assert_eq!(e.kind(), io::ErrorKind::Interrupted, "epoll_wait: {e}");
+                    continue;
+                };
+                {
+                    let mut slots = self.slots.lock().expect("reactor slots healthy");
+                    for ev in &events[..n] {
+                        let fd = ev.data as RawFd;
+                        if let Some(w) = slots.get_mut(&fd).and_then(Option::take) {
+                            ready.push(w);
+                        }
+                    }
+                }
+                for w in ready.drain(..) {
+                    w.wake();
+                }
+            }
+        }
+    }
+
+    /// Parks `waker` on `fd` until it is ready for `interest` (or in
+    /// error, or hung up). Call only after the operation hit
     /// `WouldBlock`.
-    pub(crate) const IO_RETRY: Duration = Duration::from_micros(40);
+    pub(crate) fn arm(fd: RawFd, interest: Interest, waker: &Waker) -> io::Result<()> {
+        let r = reactor();
+        let mut slots = r.slots.lock().expect("reactor slots healthy");
+        let slot = slots.entry(fd).or_insert(None);
+        if !slot.as_ref().is_some_and(|w| w.will_wake(waker)) {
+            *slot = Some(waker.clone());
+        }
+        let events = EPOLLONESHOT
+            | match interest {
+                Interest::Read => EPOLLIN,
+                Interest::Write => EPOLLOUT,
+            };
+        let mut event = EpollEvent { events, data: fd as u64 };
+        let armed = match ctl(r.epfd, EPOLL_CTL_MOD, fd, &mut event) {
+            Err(e) if e.raw_os_error() == Some(ENOENT) => {
+                ctl(r.epfd, EPOLL_CTL_ADD, fd, &mut event)
+            }
+            res => res,
+        };
+        if armed.is_err() {
+            slots.remove(&fd);
+        }
+        armed
+    }
+
+    /// Removes `fd` from the epoll set and drops its parked waker. Called
+    /// before the fd closes, so a reused fd number cannot inherit a stale
+    /// waker. Runs from `Drop`: a poisoned lock is recovered (every update
+    /// under it is a single insert, take or remove) and errors are
+    /// ignored.
+    pub(crate) fn deregister(fd: RawFd) {
+        let Some(r) = REACTOR.get() else { return };
+        let mut slots = r.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        if slots.remove(&fd).is_some() {
+            let _ = ctl(r.epfd, EPOLL_CTL_DEL, fd, &mut EpollEvent { events: 0, data: 0 });
+        }
+    }
+
+    /// Fds currently in the epoll set.
+    #[cfg(test)]
+    pub(crate) fn registrations() -> usize {
+        REACTOR.get().map_or(0, |r| r.slots.lock().expect("reactor slots healthy").len())
+    }
 }
 
 pub mod runtime {
@@ -268,7 +484,8 @@ pub mod runtime {
         }
     }
 
-    /// A running runtime: worker threads live as long as this value.
+    /// A running runtime: worker threads live as long as this value, and
+    /// dropping it drops every task it spawned that has not completed.
     pub struct Runtime {
         handle: Handle,
         workers: Vec<std::thread::JoinHandle<()>>,
@@ -322,6 +539,7 @@ pub mod runtime {
             for w in self.workers.drain(..) {
                 let _ = w.join();
             }
+            self.handle.shared.release_tasks();
         }
     }
 }
@@ -487,15 +705,25 @@ pub mod time {
 }
 
 pub mod net {
-    //! Async TCP over nonblocking std sockets, with timer-driven
-    //! readiness retries (see the crate docs).
+    //! Async TCP over nonblocking std sockets, woken by the epoll
+    //! reactor (see the crate docs).
 
     use std::future::poll_fn;
     use std::io::{self, Read, Write};
     use std::net::SocketAddr;
-    use std::task::Poll;
+    use std::os::fd::AsRawFd;
+    use std::task::{Context, Poll};
 
-    use crate::timer::{wake_after, IO_RETRY};
+    use crate::reactor::{self, Interest};
+
+    /// Parks the task on `fd` after `WouldBlock`; an arm failure is the
+    /// operation's error.
+    fn park<T>(fd: &impl AsRawFd, interest: Interest, cx: &Context<'_>) -> Poll<io::Result<T>> {
+        match reactor::arm(fd.as_raw_fd(), interest, cx.waker()) {
+            Ok(()) => Poll::Pending,
+            Err(e) => Poll::Ready(Err(e)),
+        }
+    }
 
     /// A listening TCP socket.
     pub struct TcpListener {
@@ -536,7 +764,8 @@ pub mod net {
         ///
         /// # Errors
         ///
-        /// Propagates fatal accept errors (`WouldBlock` retries).
+        /// Propagates fatal accept errors (`WouldBlock` waits for
+        /// readiness).
         pub async fn accept(&self) -> io::Result<(TcpStream, SocketAddr)> {
             poll_fn(|cx| match self.inner.accept() {
                 Ok((stream, addr)) => match TcpStream::from_std(stream) {
@@ -544,8 +773,7 @@ pub mod net {
                     Err(e) => Poll::Ready(Err(e)),
                 },
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    wake_after(IO_RETRY, cx.waker().clone());
-                    Poll::Pending
+                    park(&self.inner, Interest::Read, cx)
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {
                     cx.waker().wake_by_ref();
@@ -554,6 +782,12 @@ pub mod net {
                 Err(e) => Poll::Ready(Err(e)),
             })
             .await
+        }
+    }
+
+    impl Drop for TcpListener {
+        fn drop(&mut self) {
+            reactor::deregister(self.inner.as_raw_fd());
         }
     }
 
@@ -598,13 +832,13 @@ pub mod net {
         ///
         /// # Errors
         ///
-        /// Propagates fatal read errors (`WouldBlock` retries).
+        /// Propagates fatal read errors (`WouldBlock` waits for
+        /// readiness).
         pub async fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
             poll_fn(|cx| match (&self.inner).read(buf) {
                 Ok(n) => Poll::Ready(Ok(n)),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    wake_after(IO_RETRY, cx.waker().clone());
-                    Poll::Pending
+                    park(&self.inner, Interest::Read, cx)
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {
                     cx.waker().wake_by_ref();
@@ -634,8 +868,7 @@ pub mod net {
                         }
                         Ok(n) => written += n,
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            wake_after(IO_RETRY, cx.waker().clone());
-                            return Poll::Pending;
+                            return park(&self.inner, Interest::Write, cx);
                         }
                         Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                         Err(e) => return Poll::Ready(Err(e)),
@@ -644,6 +877,12 @@ pub mod net {
                 Poll::Ready(Ok(()))
             })
             .await
+        }
+    }
+
+    impl Drop for TcpStream {
+        fn drop(&mut self) {
+            reactor::deregister(self.inner.as_raw_fd());
         }
     }
 }
@@ -808,11 +1047,39 @@ pub mod sync {
 
 #[cfg(test)]
 mod tests {
+    use std::io::{Read, Write};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
     use std::time::{Duration, Instant};
 
+    use crate::reactor::registrations;
     use crate::runtime::Runtime;
+
+    /// The reactor is process-wide: socket tests run one at a time so
+    /// each can count its own registrations. Poison is ignored so one
+    /// failure does not fail the rest.
+    fn net_serial() -> MutexGuard<'static, ()> {
+        static NET: Mutex<()> = Mutex::new(());
+        NET.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Polls `cond` until it holds, failing after 5 s.
+    fn wait_until(what: &str, cond: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !cond() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A connected loopback pair of blocking std streams.
+    fn loopback_pair() -> (std::net::TcpStream, std::net::TcpStream) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let client =
+            std::net::TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        (client, server)
+    }
 
     #[test]
     fn block_on_plain_future() {
@@ -876,6 +1143,7 @@ mod tests {
 
     #[test]
     fn tcp_echo_over_loopback() {
+        let _serial = net_serial();
         let rt = Runtime::with_workers(2);
         rt.block_on(async {
             let listener = crate::net::TcpListener::bind("127.0.0.1:0".parse().expect("addr"))
@@ -909,5 +1177,87 @@ mod tests {
             assert_eq!(&echo, b"ping pong");
             assert_eq!(server.await.expect("server task"), b"ping pong");
         });
+    }
+
+    /// A `write_all` larger than both socket buffers parks on write
+    /// readiness while the peer does not read, and completes once the
+    /// peer drains the connection.
+    #[test]
+    fn write_all_waits_for_the_peer_to_drain() {
+        const LEN: usize = 64 << 20;
+        let _serial = net_serial();
+        let base = registrations();
+        let rt = Runtime::with_workers(2);
+        let (client, mut peer) = loopback_pair();
+        let (done_tx, done_rx) = mpsc::channel();
+        rt.handle().spawn(async move {
+            let mut s = crate::net::TcpStream::from_std(client).expect("nonblocking");
+            let res = s.write_all(&vec![7u8; LEN]).await;
+            done_tx.send(res.is_ok()).expect("test alive");
+        });
+        wait_until("the writer to park", || registrations() == base + 1);
+        assert!(done_rx.try_recv().is_err(), "write completed before the peer read anything");
+        let mut buf = vec![0u8; 64 << 10];
+        let mut drained = 0;
+        while drained < LEN {
+            let n = peer.read(&mut buf).expect("drain");
+            assert!(n > 0, "writer closed early");
+            assert!(buf[..n].iter().all(|&b| b == 7));
+            drained += n;
+        }
+        assert_eq!(done_rx.recv_timeout(Duration::from_secs(5)), Ok(true));
+        drop(rt);
+        assert_eq!(registrations(), base);
+    }
+
+    /// A read parked across an idle gap is woken by the data that
+    /// arrives, then parks again and is woken by EOF.
+    #[test]
+    fn parked_read_wakes_on_data_then_eof() {
+        let _serial = net_serial();
+        let base = registrations();
+        let rt = Runtime::with_workers(2);
+        let (mut client, server) = loopback_pair();
+        let (got_tx, got_rx) = mpsc::channel();
+        rt.handle().spawn(async move {
+            let mut s = crate::net::TcpStream::from_std(server).expect("nonblocking");
+            let mut buf = [0u8; 16];
+            loop {
+                let n = s.read(&mut buf).await.expect("read");
+                got_tx.send(buf[..n].to_vec()).expect("test alive");
+                if n == 0 {
+                    return;
+                }
+            }
+        });
+        wait_until("the reader to park", || registrations() == base + 1);
+        std::thread::sleep(Duration::from_millis(100));
+        assert!(got_rx.try_recv().is_err(), "read resolved with nothing sent");
+        client.write_all(b"late").expect("write");
+        assert_eq!(got_rx.recv_timeout(Duration::from_secs(5)).expect("data wakes"), b"late");
+        drop(client);
+        assert_eq!(got_rx.recv_timeout(Duration::from_secs(5)).expect("EOF wakes"), b"");
+        drop(rt);
+        assert_eq!(registrations(), base);
+    }
+
+    /// Dropping the runtime drops a task parked in `read`; the stream
+    /// leaves the reactor and its socket closes.
+    #[test]
+    fn dropping_a_parked_stream_deregisters_it() {
+        let _serial = net_serial();
+        let base = registrations();
+        let rt = Runtime::with_workers(1);
+        let (mut client, server) = loopback_pair();
+        rt.handle().spawn(async move {
+            let mut s = crate::net::TcpStream::from_std(server).expect("nonblocking");
+            let _ = s.read(&mut [0u8; 1]).await;
+            unreachable!("nothing is ever sent");
+        });
+        wait_until("the reader to park", || registrations() == base + 1);
+        drop(rt);
+        assert_eq!(registrations(), base);
+        client.set_read_timeout(Some(Duration::from_secs(5))).expect("timeout");
+        assert_eq!(client.read(&mut [0u8; 1]).expect("EOF, not a timeout"), 0);
     }
 }
